@@ -1,5 +1,5 @@
 // Overhead gate for the observability layer: the full serving hot path —
-// admission, batch formation, shard fan-out, engine execution — replayed
+// admission, batch formation, engine execution — replayed
 // with instrumentation enabled vs disabled (the runtime switch, the same
 // thing an operator would flip).
 //

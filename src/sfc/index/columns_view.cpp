@@ -31,4 +31,15 @@ std::pair<std::uint64_t, std::uint64_t> IndexColumnsView::rows_in_interval(
   return {first, std::max(first, last)};
 }
 
+std::vector<index_t> build_block_directory(std::span<const index_t> keys,
+                                           std::uint32_t block_rows) {
+  std::vector<index_t> directory;
+  directory.reserve((keys.size() + block_rows - 1) / block_rows);
+  for (std::uint64_t begin = 0; begin < keys.size(); begin += block_rows) {
+    directory.push_back(
+        keys[std::min<std::uint64_t>(begin + block_rows, keys.size()) - 1]);
+  }
+  return directory;
+}
+
 }  // namespace sfc

@@ -4,8 +4,9 @@
 // gathered into key order, and the sparse block directory — plus the curve
 // that keyed them.  Where those columns live is a storage decision: owned
 // std::vectors (PointIndex::build), a read-only mmap of an index file
-// (sfc/store MappedIndex), or a curve-contiguous slice of either (sfc/serve
-// shards).  IndexColumnsView is the span-based seam between the two layers:
+// (sfc/store MappedIndex), or a mapped file's ids and points beside a repaired
+// key column (a degraded sfc/serve generation).  IndexColumnsView is the
+// span-based seam between the two layers:
 // engines (RangeScanEngine, KnnEngine, the multi-query executor) accept a
 // view and never know the backing storage, which is what makes in-memory and
 // mmap-served queries bit-identical by construction.
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "sfc/common/types.h"
 #include "sfc/curves/space_filling_curve.h"
@@ -85,5 +87,10 @@ class IndexColumnsView {
   std::span<const Point> points_;
   std::span<const index_t> block_last_key_;
 };
+
+/// The block directory over sorted `keys`: the last key of every
+/// `block_rows`-sized row block.
+std::vector<index_t> build_block_directory(std::span<const index_t> keys,
+                                           std::uint32_t block_rows);
 
 }  // namespace sfc

@@ -8,10 +8,11 @@
 // fixed-chunk design as parallel_for / random_box_clustering — so results
 // are bit-identical across 1/2/8 threads and any grain.
 //
-// The executors take IndexColumnsView: an owned PointIndex, a mmap-backed
-// MappedIndex (sfc/store), and a serve shard all run through the same code.
-// The sharded serving front end (sfc/serve) feeds its admission batches
-// here.
+// The executors take IndexColumnsView: an owned PointIndex and a mmap-backed
+// MappedIndex (sfc/store) run through the same code.  The serving front end
+// (sfc/serve) feeds its admission batches here, on its generation's base
+// view; a degraded generation passes its dead shards' key ranges as
+// `excluded`, which the engines skip without reading.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +41,9 @@ struct RangeQueryResult {
   /// Payload ids inside the box, in row order (ascending key).
   std::vector<std::uint32_t> ids;
   RangeScanStats stats;
+  /// Indices into `excluded` of the ranges the box's cover intersects,
+  /// ascending; empty means `ids` is the complete answer.
+  std::vector<std::uint32_t> excluded_overlap;
 };
 
 struct KnnQueryResult {
@@ -48,15 +52,20 @@ struct KnnQueryResult {
 };
 
 /// Answers every box query; result[i] corresponds to boxes[i].  Boxes must
-/// lie inside the curve's universe.
+/// lie inside the curve's universe.  Rows in `excluded` (sorted, disjoint
+/// key ranges) are never read; see RangeScanEngine.
 std::vector<RangeQueryResult> run_range_queries(
     const IndexColumnsView& view, std::span<const Box> boxes,
-    const MultiQueryOptions& options = {});
+    const MultiQueryOptions& options = {},
+    std::span<const KeyInterval> excluded = {});
 
 /// Answers every kNN query; result[i] corresponds to queries[i].  Queries
 /// must lie inside the curve's universe (IndexArgumentError otherwise).
+/// Rows in `excluded` are never read, and then no answer is certified; see
+/// KnnEngine.
 std::vector<KnnQueryResult> run_knn_queries(
     const IndexColumnsView& view, std::span<const Point> queries,
-    std::uint32_t k, const MultiQueryOptions& options = {});
+    std::uint32_t k, const MultiQueryOptions& options = {},
+    std::span<const KeyInterval> excluded = {});
 
 }  // namespace sfc

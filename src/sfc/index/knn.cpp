@@ -74,6 +74,36 @@ void KnnEngine::consider_rows(const Point& query, std::uint32_t k,
   }
 }
 
+void KnnEngine::consider_live_rows(const Point& query, std::uint32_t k,
+                                   std::uint64_t first, std::uint64_t last,
+                                   KnnStats& stats) {
+  if (!excluded_.empty() && first < last) {
+    // Rows are key-sorted, so each excluded range the row range's keys reach
+    // is one contiguous run of rows to step over.
+    const std::span<const index_t> keys = view_.keys();
+    const auto row_of = [&](auto it) {
+      return static_cast<std::uint64_t>(it - keys.begin());
+    };
+    for (auto it = first_interval_ending_at(excluded_, keys[first]);
+         it != excluded_.end() && first < last && it->lo <= keys[last - 1];
+         ++it) {
+      const auto end = keys.begin() + static_cast<std::ptrdiff_t>(last);
+      const std::uint64_t dead_first = row_of(std::lower_bound(
+          keys.begin() + static_cast<std::ptrdiff_t>(first), end, it->lo));
+      consider_rows(query, k, first, dead_first, stats);
+      first = row_of(std::upper_bound(
+          keys.begin() + static_cast<std::ptrdiff_t>(dead_first), end,
+          it->hi));
+    }
+  }
+  consider_rows(query, k, first, last, stats);
+}
+
+bool KnnEngine::excluded_whole(index_t lo, index_t hi) const {
+  const auto it = first_interval_ending_at(excluded_, lo);
+  return it != excluded_.end() && it->lo <= lo && hi <= it->hi;
+}
+
 std::vector<KnnNeighbor> KnnEngine::query(const Point& query, std::uint32_t k,
                                           KnnStats* stats) {
   const SpaceFillingCurve& curve = view_.curve();
@@ -87,20 +117,23 @@ std::vector<KnnNeighbor> KnnEngine::query(const Point& query, std::uint32_t k,
   best_.clear();
   frontier_.clear();
 
+  // Every exit below certifies (the frontier bound, a drained frontier, or
+  // the exhaustive scan) unless rows were excluded: they were never read, so
+  // a closer neighbor may hide there.
+  local.certified = excluded_.empty();
+
   if (k == 0 || view_.empty()) {
-    local.certified = true;
     if (obs_enabled()) {
       knn_metrics().queries.add(1);
-      knn_metrics().certified.add(1);
+      if (local.certified) knn_metrics().certified.add(1);
     }
     if (stats != nullptr) *stats = local;
     return {};
   }
 
   if (!curve.has_subtree_traversal()) {
-    // No hierarchy to descend: exhaustive scan, trivially certified.
-    consider_rows(query, k, 0, view_.row_count(), local);
-    local.certified = true;
+    // No hierarchy to descend: exhaustive scan.
+    consider_live_rows(query, k, 0, view_.row_count(), local);
   } else {
     local.used_subtree = true;
     const FrontierAfter after;
@@ -118,23 +151,23 @@ std::vector<KnnNeighbor> KnnEngine::query(const Point& query, std::uint32_t k,
         // and (by heap order) every remaining frontier node — no unvisited
         // row can enter the result.  Ties (==) keep descending so the
         // (distance, key, row) tie-break stays exact.
-        local.certified = true;
         local.frontier_bound_valid = true;
         local.frontier_sq_dist = visit.sq_dist;
         break;
       }
       const SubtreeNode& node = visit.node;
       if (node.side == 1 || visit.row_last - visit.row_first <= kLeafRows) {
-        consider_rows(query, k, visit.row_first, visit.row_last, local);
+        consider_live_rows(query, k, visit.row_first, visit.row_last, local);
         continue;
       }
       ++local.nodes_expanded;
       children_.resize(arity);
       curve.subtree_children(node, children_);
       for (const SubtreeNode& child : children_) {
+        const index_t child_hi = child.key_lo + (child.key_count - 1);
+        if (excluded_whole(child.key_lo, child_hi)) continue;  // dead: prune
         const auto [child_first, child_last] =
-            view_.rows_in_interval(child.key_lo,
-                                    child.key_lo + (child.key_count - 1));
+            view_.rows_in_interval(child.key_lo, child_hi);
         if (child_first == child_last) continue;  // no rows: prune
         const std::uint64_t child_dist = child.min_squared_distance(query);
         if (best_.size() == k && child_dist > best_.front().sq_dist) continue;
@@ -143,9 +176,6 @@ std::vector<KnnNeighbor> KnnEngine::query(const Point& query, std::uint32_t k,
         ++local.frontier_pushes;
       }
     }
-    // A drained frontier certifies too: every reachable candidate was
-    // evaluated.  (No-op when the loop broke on the frontier bound.)
-    local.certified = true;
   }
 
   std::sort(best_.begin(), best_.end(), Closer{});

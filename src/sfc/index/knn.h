@@ -17,16 +17,20 @@
 // Curves without subtree structure fall back to a full scan of the rows
 // (exact, trivially certified), so every family answers through one entry
 // point.  Like the range scans, the engine queries through IndexColumnsView,
-// so in-memory, mmap-backed, and shard-sliced storage all answer
-// bit-identically.
+// so in-memory and mmap-backed storage answer bit-identically.  Key ranges
+// passed as `excluded` (a degraded generation's dead shards, sfc/serve) are
+// never read: nodes lying wholly inside them are pruned, leaf scans skip
+// their rows, and the answer is reported uncertified.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sfc/grid/point.h"
 #include "sfc/index/columns_view.h"
 #include "sfc/index/point_index.h"
+#include "sfc/ranges/range_cover.h"
 
 namespace sfc {
 
@@ -50,7 +54,9 @@ struct KnnStats {
   std::uint64_t rows_scanned = 0;
   /// True when the search terminated with the frontier certificate
   /// (k-th distance <= min distance of any unpopped node), or by exhausting
-  /// every candidate (full scan / frontier drained) — always true on exit.
+  /// every candidate (full scan / frontier drained) — always true on exit,
+  /// unless the engine ran with excluded key ranges: a closer row may lie in
+  /// them, so those answers are never certified.
   bool certified = false;
   /// True when the certificate came from a non-empty frontier; then
   /// frontier_sq_dist is the min squared distance of the unpopped nodes.
@@ -68,11 +74,16 @@ class KnnEngine {
   /// Row ranges at most this long are scanned instead of descending further.
   static constexpr std::uint64_t kLeafRows = 64;
 
-  explicit KnnEngine(IndexColumnsView view) : view_(view) {}
+  /// `excluded` holds key ranges whose rows are never read: sorted ascending,
+  /// disjoint, and outliving the engine.  Empty means every row is live.
+  explicit KnnEngine(IndexColumnsView view,
+                     std::span<const KeyInterval> excluded = {})
+      : view_(view), excluded_(excluded) {}
 
-  /// The k rows nearest to `query` under the total order (squared Euclidean
-  /// distance, curve key, row), ascending — fewer when the view holds fewer
-  /// than k rows.  Duplicate points are distinct rows and are all reported.
+  /// The k live rows nearest to `query` under the total order (squared
+  /// Euclidean distance, curve key, row), ascending — fewer when the view
+  /// holds fewer than k live rows.  Duplicate points are distinct rows and
+  /// are all reported.
   /// The query must lie inside the curve's universe (throws
   /// IndexArgumentError otherwise).
   std::vector<KnnNeighbor> query(const Point& query, std::uint32_t k,
@@ -97,8 +108,15 @@ class KnnEngine {
 
   void consider_rows(const Point& query, std::uint32_t k, std::uint64_t first,
                      std::uint64_t last, KnnStats& stats);
+  /// consider_rows over the rows of [first, last) outside excluded ranges.
+  void consider_live_rows(const Point& query, std::uint32_t k,
+                          std::uint64_t first, std::uint64_t last,
+                          KnnStats& stats);
+  /// True when keys [lo, hi] lie inside one excluded range.
+  bool excluded_whole(index_t lo, index_t hi) const;
 
   IndexColumnsView view_;
+  std::span<const KeyInterval> excluded_;
   // Max-heap of the best k candidates (top = current k-th) and min-heap of
   // frontier nodes by (subcube min distance, key_lo); see knn.cpp.
   std::vector<Candidate> best_;

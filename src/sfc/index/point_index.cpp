@@ -77,14 +77,7 @@ PointIndex PointIndex::build(const SpaceFillingCurve& curve,
 
   // Sparse directory: the last (max) key of each row block.  With sorted
   // keys this is one strided read of the key column.
-  const std::uint64_t blocks =
-      (n + index.block_rows_ - 1) / index.block_rows_;
-  index.block_last_key_.resize(blocks);
-  for (std::uint64_t b = 0; b < blocks; ++b) {
-    const std::uint64_t end =
-        std::min<std::uint64_t>((b + 1) * index.block_rows_, n);
-    index.block_last_key_[b] = index.keys_[end - 1];
-  }
+  index.block_last_key_ = build_block_directory(index.keys_, index.block_rows_);
   if (obs_enabled()) {
     const double build_us = trace_now_us() - build_start_us;
     MetricsRegistry::global().counter("index.builds").add(1);
@@ -97,7 +90,7 @@ PointIndex PointIndex::build(const SpaceFillingCurve& curve,
     span.dur_us = build_us;
     span.tid = trace_thread_id();
     span.add_arg("rows", n);
-    span.add_arg("blocks", blocks);
+    span.add_arg("blocks", index.block_last_key_.size());
     TraceRing::global().record(span);
   }
   return index;

@@ -30,22 +30,47 @@ RangeScanMetrics& range_scan_metrics() {
 }  // namespace
 
 void RangeScanEngine::scan(const Box& box, std::vector<std::uint32_t>* out,
-                           RangeScanStats* stats) {
+                           RangeScanStats* stats,
+                           std::vector<std::uint32_t>* excluded_hits) {
   out->clear();
+  if (excluded_hits != nullptr) excluded_hits->clear();
   RangeScanStats local;
   CoverStats cover_stats;
   const std::span<const std::uint32_t> ids = view_.ids();
+  // Appends the rows of keys [lo, hi]; true when there were any.
+  const auto emit = [&](index_t lo, index_t hi) {
+    const auto [first, last] = view_.rows_in_interval(lo, hi);
+    if (first == last) return false;
+    local.rows_returned += last - first;
+    out->insert(out->end(), ids.begin() + static_cast<std::ptrdiff_t>(first),
+                ids.begin() + static_cast<std::ptrdiff_t>(last));
+    return true;
+  };
   cover_.for_each_interval(
       box, ws_,
       [&](const KeyInterval& interval) {
         ++local.runs_in_cover;
-        const auto [first, last] =
-            view_.rows_in_interval(interval.lo, interval.hi);
-        if (first == last) return;
-        ++local.runs_touched;
-        local.rows_returned += last - first;
-        out->insert(out->end(), ids.begin() + static_cast<std::ptrdiff_t>(first),
-                    ids.begin() + static_cast<std::ptrdiff_t>(last));
+        // Emit the live gaps between the excluded ranges the interval
+        // crosses.  Cover intervals ascend, so hits arrive in order.
+        bool touched = false;
+        index_t lo = interval.lo;
+        bool live_tail = true;
+        auto it = first_interval_ending_at(excluded_, interval.lo);
+        for (; it != excluded_.end() && it->lo <= interval.hi; ++it) {
+          const auto hit = static_cast<std::uint32_t>(it - excluded_.begin());
+          if (excluded_hits != nullptr &&
+              (excluded_hits->empty() || excluded_hits->back() != hit)) {
+            excluded_hits->push_back(hit);
+          }
+          if (it->lo > lo) touched |= emit(lo, it->lo - 1);
+          if (it->hi >= interval.hi) {
+            live_tail = false;
+            break;
+          }
+          lo = it->hi + 1;
+        }
+        if (live_tail) touched |= emit(lo, interval.hi);
+        if (touched) ++local.runs_touched;
       },
       &cover_stats);
   // Exact covers: every resolved row is a hit, nothing else was touched.

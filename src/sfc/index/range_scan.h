@@ -10,11 +10,14 @@
 // is kept for verification and as the baseline the CI bench gates against.
 //
 // The engine queries through IndexColumnsView, so the same code serves an
-// in-memory PointIndex, a mmap-backed MappedIndex (sfc/store), or one shard
-// of a ShardedIndex (sfc/serve) — bit-identically.
+// in-memory PointIndex or a mmap-backed MappedIndex (sfc/store)
+// bit-identically.  A degraded serving generation (sfc/serve) passes its dead
+// shards' key ranges as `excluded`: the engine cuts them out of the cover and
+// reports which of them the box needed, without reading a row inside them.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sfc/grid/box.h"
@@ -32,7 +35,7 @@ struct RangeScanStats {
   std::uint64_t rows_scanned = 0;
   /// Key intervals in the box's cover (its clustering number).
   std::uint64_t runs_in_cover = 0;
-  /// Cover intervals that resolved to at least one row.
+  /// Cover intervals that resolved to at least one (live) row.
   std::uint64_t runs_touched = 0;
   /// Subtree nodes visited by the cover descent (0 on enumeration/full scan).
   std::uint64_t nodes_visited = 0;
@@ -44,19 +47,27 @@ struct RangeScanStats {
 /// executor keeps one per worker chunk.
 class RangeScanEngine {
  public:
-  explicit RangeScanEngine(IndexColumnsView view)
-      : view_(view), cover_(view.curve()) {}
+  /// `excluded` holds key ranges whose rows are never read: sorted ascending,
+  /// disjoint, and outliving the engine.  Empty means every row is live.
+  explicit RangeScanEngine(IndexColumnsView view,
+                           std::span<const KeyInterval> excluded = {})
+      : view_(view), excluded_(excluded), cover_(view.curve()) {}
 
   /// Appends to *out the payload id of every indexed point inside `box`, in
-  /// row order (ascending key, duplicate keys in input order).  The box must
-  /// lie inside the curve's universe.  `out` is cleared first.
+  /// row order (ascending key, duplicate keys in input order), skipping the
+  /// excluded key ranges.  The box must lie inside the curve's universe.
+  /// `out` is cleared first.  `excluded_hits`, when given, is set to the
+  /// indices into `excluded` of the ranges the box's cover intersects,
+  /// ascending; it stays empty exactly when the answer is complete.
   void scan(const Box& box, std::vector<std::uint32_t>* out,
-            RangeScanStats* stats = nullptr);
+            RangeScanStats* stats = nullptr,
+            std::vector<std::uint32_t>* excluded_hits = nullptr);
 
   const IndexColumnsView& view() const { return view_; }
 
  private:
   IndexColumnsView view_;
+  std::span<const KeyInterval> excluded_;
   RangeCoverEngine cover_;
   CoverWorkspace ws_;
 };

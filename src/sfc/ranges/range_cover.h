@@ -18,6 +18,7 @@
 // *every* family keeps exact answers through one entry point.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -49,6 +50,15 @@ struct KeyInterval {
     return a.lo == b.lo && a.hi == b.hi;
   }
 };
+
+/// First of the ascending, disjoint `intervals` that ends at or after `key`
+/// (end() when none): the one holding `key`, else the next one up.
+inline std::span<const KeyInterval>::iterator first_interval_ending_at(
+    std::span<const KeyInterval> intervals, index_t key) {
+  return std::lower_bound(
+      intervals.begin(), intervals.end(), key,
+      [](const KeyInterval& interval, index_t k) { return interval.hi < k; });
+}
 
 /// Optional instrumentation returned by RangeCoverEngine::cover.
 struct CoverStats {

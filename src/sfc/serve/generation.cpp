@@ -16,17 +16,17 @@ constexpr std::uint32_t kIdsBit = 1u << 1;
 constexpr std::uint32_t kPointsBit = 1u << 2;
 constexpr std::uint32_t kDirectoryBit = 1u << 3;
 
-/// Semantic verification of one shard's slice: keys sorted, inside the
+/// Semantic verification of one shard's rows: keys sorted, inside the
 /// shard's key range and the universe, points well-formed and in-universe,
 /// and every point re-encoding to its stored key through the generation's
 /// curve — the same checks the strict open runs globally, restricted to the
 /// rows this shard owns so a failure is attributable.  Returns the empty
 /// string when the shard is clean, else a description of the first failure.
-std::string verify_shard(const IndexColumnsView& shard,
+std::string verify_shard(const SpaceFillingCurve& curve,
+                         std::span<const index_t> keys,
+                         std::span<const Point> points,
                          const KeyInterval& key_range) {
-  const std::span<const index_t> keys = shard.keys();
-  const std::span<const Point> points = shard.points();
-  const Universe& u = shard.curve().universe();
+  const Universe& u = curve.universe();
   const index_t cells = u.cell_count();
   for (std::uint64_t r = 0; r < keys.size(); ++r) {
     if (keys[r] >= cells) {
@@ -60,8 +60,8 @@ std::string verify_shard(const IndexColumnsView& shard,
                " point outside the curve universe";
       }
     }
-    shard.curve().index_of_batch(points.subspan(at, n),
-                                 std::span<index_t>(recoded.data(), n));
+    curve.index_of_batch(points.subspan(at, n),
+                         std::span<index_t>(recoded.data(), n));
     for (std::uint64_t i = 0; i < n; ++i) {
       if (recoded[i] != keys[at + i]) {
         return "row " + std::to_string(at + i) + " key " +
@@ -74,13 +74,12 @@ std::string verify_shard(const IndexColumnsView& shard,
   return std::string();
 }
 
-/// Shard owning global row `row`: the last shard whose first row is <= row
+/// Shard owning base row `row`: the last shard whose first row is <= row
 /// (empty shards share a begin with their successor and own no rows).
-std::size_t shard_of_row(const std::vector<std::uint64_t>& row_begin,
-                         std::uint64_t row) {
-  const auto it =
-      std::upper_bound(row_begin.begin(), row_begin.end(), row);
-  return static_cast<std::size_t>(it - row_begin.begin()) - 1;
+std::size_t shard_of_row(const ShardedIndex& layout, std::uint64_t row) {
+  std::size_t s = 0;
+  while (layout.shard_row_begin(s + 1) <= row) ++s;
+  return s;
 }
 
 }  // namespace
@@ -115,52 +114,56 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
                      "a shard, refusing degraded open");
   }
 
-  gen->sharded_.emplace(gen->mapped_->view(), shard_bits);
-  const ShardedIndex& sharded = *gen->sharded_;
-  const std::size_t count = sharded.shard_count();
+  // Localize over a directory rebuilt from the key column, so a corrupt
+  // entry in the file's directory cannot shift the shard table onto a second
+  // shard.
+  const IndexColumnsView file = gen->mapped_->view();
+  const std::vector<index_t> key_directory =
+      build_block_directory(file.keys(), file.block_rows());
+  const IndexColumnsView raw(file.curve(), file.block_rows(), file.keys(),
+                             file.ids(), file.points(), key_directory);
+  const ShardedIndex layout(raw, shard_bits);
+  const std::size_t count = layout.shard_count();
   gen->shard_alive_.assign(count, 1);
   gen->shard_errors_.assign(count, std::string());
 
-  std::vector<std::uint64_t> row_begin(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    row_begin[s] = sharded.shard_row_begin(s);
-  }
-
+  std::size_t dead_count = 0;
   const auto mark_dead = [&](std::size_t s, std::string why) {
     if (gen->shard_alive_[s] == 0) return;
     gen->shard_alive_[s] = 0;
     gen->shard_errors_[s] = std::move(why);
-    ++gen->dead_count_;
+    ++dead_count;
   };
 
   for (std::size_t s = 0; s < count; ++s) {
-    std::string why = verify_shard(sharded.shard(s), sharded.shard_key_range(s));
+    const std::uint64_t begin = layout.shard_row_begin(s);
+    const std::uint64_t n = layout.shard_row_begin(s + 1) - begin;
+    std::string why = verify_shard(raw.curve(), raw.keys().subspan(begin, n),
+                                   raw.points().subspan(begin, n),
+                                   layout.shard_key_range(s));
     if (!why.empty()) mark_dead(s, std::move(why));
   }
 
-  // The file's global block directory is not part of any shard slice (shards
-  // rebuild their own), but a mismatch there still marks the shard owning
-  // the block's last row: that is where the disagreeing key lives.
-  const IndexColumnsView& base = gen->mapped_->view();
-  const std::span<const index_t> directory = base.block_last_key();
-  const std::uint64_t rows = base.row_count();
+  // A mismatch in the file's block directory marks the shard owning the
+  // block's last row: that is where the disagreeing key lives.
+  const std::span<const index_t> directory = file.block_last_key();
+  const std::uint64_t rows = raw.row_count();
   for (std::uint64_t b = 0; b < directory.size(); ++b) {
-    const std::uint64_t end = std::min<std::uint64_t>(
-        (b + 1) * std::uint64_t{base.block_rows()}, rows);
-    if (end == 0) break;
-    if (directory[b] != base.keys()[end - 1]) {
-      mark_dead(shard_of_row(row_begin, end - 1),
+    if (directory[b] != key_directory[b]) {
+      const std::uint64_t end = std::min<std::uint64_t>(
+          (b + 1) * std::uint64_t{raw.block_rows()}, rows);
+      mark_dead(shard_of_row(layout, end - 1),
                 "global directory entry " + std::to_string(b) +
                     " disagrees with the key column");
     }
   }
 
-  if (gen->dead_count_ == count && count > 0) {
+  if (dead_count == count && count > 0) {
     throw StoreError("index open: '" + path +
                      "': every shard failed verification (first: " +
                      gen->shard_errors_[0] + ")");
   }
-  if (mask != 0 && gen->dead_count_ == 0) {
+  if (mask != 0 && dead_count == 0) {
     // A checksum disagrees but no shard check explains it — either the
     // recorded checksum itself is corrupt or the corruption hides where the
     // semantic checks cannot see it.  Unattributable = unserveable.
@@ -168,6 +171,36 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
                      "(mask " + std::to_string(mask) +
                      ") not localizable to any shard, refusing degraded open");
   }
+  if (dead_count == 0) {
+    gen->sharded_.emplace(file, shard_bits);
+    return gen;
+  }
+
+  // Serve from a view that never reads a dead row or the file's directory:
+  // dead rows take their shard's first key, which keeps the copy sorted
+  // (live shards verified sorted and inside their ranges) and puts every
+  // dead row inside its excluded range.
+  gen->live_keys_.resize(rows);
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto first = static_cast<std::ptrdiff_t>(layout.shard_row_begin(s));
+    const auto last =
+        static_cast<std::ptrdiff_t>(layout.shard_row_begin(s + 1));
+    const auto out = gen->live_keys_.begin() + first;
+    if (gen->shard_alive_[s] != 0) {
+      std::copy(raw.keys().begin() + first, raw.keys().begin() + last, out);
+    } else {
+      std::fill(out, gen->live_keys_.begin() + last,
+                layout.shard_key_range(s).lo);
+      gen->dead_shards_.push_back(static_cast<std::uint32_t>(s));
+      gen->dead_key_ranges_.push_back(layout.shard_key_range(s));
+    }
+  }
+  gen->live_directory_ =
+      build_block_directory(gen->live_keys_, raw.block_rows());
+  gen->sharded_.emplace(
+      IndexColumnsView(raw.curve(), raw.block_rows(), gen->live_keys_,
+                       raw.ids(), raw.points(), gen->live_directory_),
+      shard_bits);
   return gen;
 }
 

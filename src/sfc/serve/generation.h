@@ -17,9 +17,13 @@
 // (as long as the corruption is localizable — an unattributable mismatch
 // still rejects the file), so a partially-damaged index serves full answers
 // for queries that provably never needed the dead rows and typed
-// PartialResultErrors for the rest.  Reloading a repaired file resurrects
-// the shards, because liveness is a property of the generation, not the
-// server.
+// PartialResultErrors for the rest.  A degraded generation serves from a
+// repaired view that never reads a dead shard's rows or the file's
+// directory: the mapped ids and points, a key column copy in which every
+// dead row's key is its shard's first key, and a directory rebuilt from that
+// copy; queries exclude dead_key_ranges().  Reloading a repaired file
+// resurrects the shards, because liveness is a property of the generation,
+// not the server.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,7 @@
 namespace sfc {
 
 /// One immutable storage epoch: a validated index (mapped from a file, or
-/// wrapping caller-owned storage) plus the sharded view and per-shard
+/// wrapping caller-owned storage) plus the shard table and per-shard
 /// liveness built over it.  Never mutated after the factory returns, so any
 /// number of batch executions may query it concurrently without
 /// synchronization; the shared_ptr refcount is the only lifetime mechanism
@@ -63,27 +67,36 @@ class IndexGeneration {
   std::uint64_t epoch() const { return epoch_; }
   /// The path this generation was opened from; empty for wrap().
   const std::string& path() const { return path_; }
+  /// The shard table; its base() is the view every query runs on.
   const ShardedIndex& sharded() const { return *sharded_; }
 
-  bool degraded() const { return dead_count_ != 0; }
-  std::size_t dead_shard_count() const { return dead_count_; }
-  /// Per-shard liveness (1 = alive), parallel to sharded().shard(s).
+  /// Per-shard liveness (1 = alive), indexed by shard.
   const std::vector<std::uint8_t>& shard_alive() const { return shard_alive_; }
   /// Per-shard verification failure (empty string for live shards).
   const std::vector<std::string>& shard_errors() const { return shard_errors_; }
+  /// The dead shards, ascending, and their key ranges (parallel): the
+  /// exclusion list every query of this generation runs with.
+  const std::vector<std::uint32_t>& dead_shards() const { return dead_shards_; }
+  const std::vector<KeyInterval>& dead_key_ranges() const {
+    return dead_key_ranges_;
+  }
 
  private:
   IndexGeneration() = default;
 
   std::uint64_t epoch_ = 0;
   std::string path_;
-  // mapped_ declared before sharded_: the sharded view points into the
-  // mapping, so it must be destroyed first (reverse declaration order).
+  // mapped_ and the repaired columns are declared before sharded_: its view
+  // points into them, so it must be destroyed first (reverse declaration
+  // order).
   std::optional<MappedIndex> mapped_;
+  std::vector<index_t> live_keys_;       ///< degraded only
+  std::vector<index_t> live_directory_;  ///< degraded only
   std::optional<ShardedIndex> sharded_;
   std::vector<std::uint8_t> shard_alive_;
   std::vector<std::string> shard_errors_;
-  std::size_t dead_count_ = 0;
+  std::vector<std::uint32_t> dead_shards_;
+  std::vector<KeyInterval> dead_key_ranges_;
 };
 
 /// The swap point: hands out the active generation and replaces it

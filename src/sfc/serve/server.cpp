@@ -120,90 +120,64 @@ void IndexServer::stop() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-IndexServer::Pending& IndexServer::admit(Pending&& pending,
-                                         std::uint64_t deadline_us) {
-  // Caller holds mutex_.
-  if (stopping_) {
-    ++health_.rejected_stopped;
-    serve_metrics().rejected_stopped.add(1);
-    throw ServerStoppedError();
+void IndexServer::submit(Pending&& pending,
+                         std::optional<std::uint64_t> deadline_us) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) {
+      ++health_.rejected_stopped;
+      serve_metrics().rejected_stopped.add(1);
+      throw ServerStoppedError();
+    }
+    if (options_.max_queue > 0 && pending_.size() >= options_.max_queue) {
+      ++health_.rejected_overload;
+      serve_metrics().rejected_overload.add(1);
+      throw ServerOverloadError(pending_.size(), options_.max_queue);
+    }
+    pending.enqueued = Clock::now();
+    pending.deadline_us = deadline_us.value_or(options_.deadline_us);
+    pending.trace_id = next_trace_id();
+    if (pending.deadline_us > 0) {
+      pending.deadline =
+          pending.enqueued + std::chrono::microseconds(pending.deadline_us);
+    }
+    (pending.kind == Pending::Kind::kRange ? serve_metrics().range_queries
+                                           : serve_metrics().knn_queries)
+        .add(1);
+    pending_.push_back(std::move(pending));
+    ++health_.accepted;
+    serve_metrics().accepted.add(1);
+    serve_metrics().queue_depth.set(static_cast<std::int64_t>(pending_.size()));
   }
-  if (options_.max_queue > 0 && pending_.size() >= options_.max_queue) {
-    ++health_.rejected_overload;
-    serve_metrics().rejected_overload.add(1);
-    throw ServerOverloadError(pending_.size(), options_.max_queue);
-  }
-  pending.enqueued = Clock::now();
-  pending.deadline_us = deadline_us;
-  pending.trace_id = next_trace_id();
-  if (deadline_us > 0) {
-    pending.deadline = pending.enqueued + std::chrono::microseconds(deadline_us);
-  }
-  pending_.push_back(std::move(pending));
-  ++stats_.queries_admitted;
-  ++health_.accepted;
-  serve_metrics().accepted.add(1);
-  serve_metrics().queue_depth.set(static_cast<std::int64_t>(pending_.size()));
-  return pending_.back();
+  arrivals_.notify_one();
 }
 
-RangeQueryResult IndexServer::range_query(const Box& box) {
-  return range_query_served(box, options_.deadline_us).result;
-}
-
-RangeQueryResult IndexServer::range_query(const Box& box,
-                                          std::uint64_t deadline_us) {
+RangeQueryResult IndexServer::range_query(
+    const Box& box, std::optional<std::uint64_t> deadline_us) {
   return range_query_served(box, deadline_us).result;
 }
 
-KnnQueryResult IndexServer::knn_query(const Point& query, std::uint32_t k) {
-  return knn_query_served(query, k, options_.deadline_us).result;
-}
-
-KnnQueryResult IndexServer::knn_query(const Point& query, std::uint32_t k,
-                                      std::uint64_t deadline_us) {
+KnnQueryResult IndexServer::knn_query(
+    const Point& query, std::uint32_t k,
+    std::optional<std::uint64_t> deadline_us) {
   return knn_query_served(query, k, deadline_us).result;
 }
 
-ServedRange IndexServer::range_query_served(const Box& box) {
-  return range_query_served(box, options_.deadline_us);
-}
-
-ServedRange IndexServer::range_query_served(const Box& box,
-                                            std::uint64_t deadline_us) {
-  std::future<ServedRange> future;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Pending& slot = admit(Pending(box), deadline_us);
-    future = slot.range_promise.get_future();
-    ++stats_.range_queries;
-    serve_metrics().range_queries.add(1);
-  }
-  arrivals_.notify_one();
+ServedRange IndexServer::range_query_served(
+    const Box& box, std::optional<std::uint64_t> deadline_us) {
+  Pending pending(box);
+  std::future<ServedRange> future = pending.range_promise.get_future();
+  submit(std::move(pending), deadline_us);
   return future.get();
 }
 
-ServedKnn IndexServer::knn_query_served(const Point& query, std::uint32_t k) {
-  return knn_query_served(query, k, options_.deadline_us);
-}
-
-ServedKnn IndexServer::knn_query_served(const Point& query, std::uint32_t k,
-                                        std::uint64_t deadline_us) {
-  std::future<ServedKnn> future;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Pending& slot = admit(Pending(query, k), deadline_us);
-    future = slot.knn_promise.get_future();
-    ++stats_.knn_queries;
-    serve_metrics().knn_queries.add(1);
-  }
-  arrivals_.notify_one();
+ServedKnn IndexServer::knn_query_served(
+    const Point& query, std::uint32_t k,
+    std::optional<std::uint64_t> deadline_us) {
+  Pending pending(query, k);
+  std::future<ServedKnn> future = pending.knn_promise.get_future();
+  submit(std::move(pending), deadline_us);
   return future.get();
-}
-
-ServerStats IndexServer::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 ServerHealth IndexServer::health() const {
@@ -213,14 +187,13 @@ ServerHealth IndexServer::health() const {
     snapshot = health_;
     snapshot.queue_depth = pending_.size();
     snapshot.stopped = stopping_;
-    snapshot.batches_dispatched = stats_.batches_dispatched;
   }
   const std::shared_ptr<const IndexGeneration> gen = generations_.active();
   snapshot.epoch = gen->epoch();
   snapshot.reloads = generations_.reloads();
   snapshot.failed_reloads = generations_.failed_reloads();
   snapshot.shard_count = gen->sharded().shard_count();
-  snapshot.dead_shards = gen->dead_shard_count();
+  snapshot.dead_shards = gen->dead_shards().size();
   snapshot.shard_alive = gen->shard_alive();
   return snapshot;
 }
@@ -248,9 +221,7 @@ void IndexServer::dispatcher_loop() {
         arrivals_.wait_until(lock, close_at);
       }
       batch.swap(pending_);
-      ++stats_.batches_dispatched;
-      stats_.max_batch_rows =
-          std::max<std::uint64_t>(stats_.max_batch_rows, batch.size());
+      ++health_.batches_dispatched;
       serve_metrics().queue_depth.set(0);
     }
     serve_metrics().batches.add(1);
@@ -322,7 +293,7 @@ void IndexServer::dispatcher_loop() {
       bool log_now = false;
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        log_now = stats_.batches_dispatched %
+        log_now = health_.batches_dispatched %
                       options_.metrics_log_every_batches == 0;
       }
       if (log_now) log_metrics_line();
@@ -393,11 +364,12 @@ void IndexServer::execute_batch(std::vector<Pending>& batch,
                                 Clock::time_point formed) {
   // Split the mixed batch into one range sub-batch and one kNN sub-batch per
   // k (the executor answers a whole sub-batch with one k), then execute each
-  // through the sharded executors of the pinned generation.
+  // on the pinned generation's base view, excluding its dead key ranges.
   MultiQueryOptions exec;
   exec.pool = options_.pool;
   exec.grain = options_.grain;
-  const ShardedIndex& index = gen.sharded();
+  const IndexColumnsView& view = gen.sharded().base();
+  const std::span<const KeyInterval> dead = gen.dead_key_ranges();
   const std::uint64_t epoch = gen.epoch();
   const double formed_us = trace_time_us(formed);
 
@@ -461,39 +433,24 @@ void IndexServer::execute_batch(std::vector<Pending>& batch,
     boxes.reserve(range_slots.size());
     for (const std::size_t i : range_slots) boxes.push_back(batch[i].box);
     try {
-      if (gen.degraded()) {
-        std::vector<DegradedRangeResult> results = run_range_queries_degraded(
-            index, boxes, gen.shard_alive(), exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < range_slots.size(); ++j) {
-          Pending& p = batch[range_slots[j]];
-          DegradedRangeResult& d = results[j];
-          if (obs_enabled()) {
-            record_range_span(p, d.result.stats, d.result.ids.size(), sub_us);
-          }
-          if (d.dead_overlap.empty()) {
-            p.range_promise.set_value(
-                ServedRange{std::move(d.result), epoch});
-          } else {
-            serve_metrics().degraded_partials.add(1);
-            p.range_promise.set_exception(
-                std::make_exception_ptr(PartialResultError(
-                    std::move(d.dead_overlap), std::move(d.result.ids))));
-          }
+      std::vector<RangeQueryResult> results =
+          run_range_queries(view, boxes, exec, dead);
+      const double sub_us = obs_enabled() ? trace_now_us() - formed_us : 0.0;
+      for (std::size_t j = 0; j < range_slots.size(); ++j) {
+        Pending& p = batch[range_slots[j]];
+        RangeQueryResult& r = results[j];
+        if (obs_enabled()) {
+          record_range_span(p, r.stats, r.ids.size(), sub_us);
         }
-      } else {
-        std::vector<RangeQueryResult> results =
-            run_range_queries(index, boxes, exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < range_slots.size(); ++j) {
-          Pending& p = batch[range_slots[j]];
-          if (obs_enabled()) {
-            record_range_span(p, results[j].stats, results[j].ids.size(),
-                              sub_us);
-          }
-          p.range_promise.set_value(ServedRange{std::move(results[j]), epoch});
+        if (r.excluded_overlap.empty()) {
+          p.range_promise.set_value(ServedRange{std::move(r), epoch});
+        } else {
+          // The cover reached dead key ranges: name their shards.
+          for (std::uint32_t& d : r.excluded_overlap) d = gen.dead_shards()[d];
+          serve_metrics().degraded_partials.add(1);
+          p.range_promise.set_exception(std::make_exception_ptr(
+              PartialResultError(std::move(r.excluded_overlap),
+                                 std::move(r.ids))));
         }
       }
     } catch (...) {
@@ -510,40 +467,23 @@ void IndexServer::execute_batch(std::vector<Pending>& batch,
     points.reserve(slots.size());
     for (const std::size_t i : slots) points.push_back(batch[i].point);
     try {
-      if (gen.degraded()) {
-        std::vector<DegradedKnnResult> results = run_knn_queries_degraded(
-            index, points, k, gen.shard_alive(), exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-          Pending& p = batch[slots[j]];
-          DegradedKnnResult& d = results[j];
-          if (obs_enabled()) {
-            record_knn_span(p, d.result.stats, d.result.neighbors.size(),
-                            sub_us);
-          }
-          if (d.dead_overlap.empty()) {
-            p.knn_promise.set_value(ServedKnn{std::move(d.result), epoch});
-          } else {
-            serve_metrics().degraded_partials.add(1);
-            p.knn_promise.set_exception(
-                std::make_exception_ptr(PartialResultError(
-                    std::move(d.dead_overlap),
-                    std::move(d.result.neighbors))));
-          }
+      std::vector<KnnQueryResult> results =
+          run_knn_queries(view, points, k, exec, dead);
+      const double sub_us = obs_enabled() ? trace_now_us() - formed_us : 0.0;
+      for (std::size_t j = 0; j < slots.size(); ++j) {
+        Pending& p = batch[slots[j]];
+        KnnQueryResult& r = results[j];
+        if (obs_enabled()) {
+          record_knn_span(p, r.stats, r.neighbors.size(), sub_us);
         }
-      } else {
-        std::vector<KnnQueryResult> results =
-            run_knn_queries(index, points, k, exec);
-        const double sub_us =
-            obs_enabled() ? trace_now_us() - formed_us : 0.0;
-        for (std::size_t j = 0; j < slots.size(); ++j) {
-          Pending& p = batch[slots[j]];
-          if (obs_enabled()) {
-            record_knn_span(p, results[j].stats, results[j].neighbors.size(),
-                            sub_us);
-          }
-          p.knn_promise.set_value(ServedKnn{std::move(results[j]), epoch});
+        if (r.stats.certified) {
+          p.knn_promise.set_value(ServedKnn{std::move(r), epoch});
+        } else {
+          // Uncertified = dead rows were excluded, and any dead shard could
+          // hold a closer neighbor: report every one.
+          serve_metrics().degraded_partials.add(1);
+          p.knn_promise.set_exception(std::make_exception_ptr(
+              PartialResultError(gen.dead_shards(), std::move(r.neighbors))));
         }
       }
     } catch (...) {
@@ -602,18 +542,13 @@ ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,
           for (std::uint32_t attempt = 0;; ++attempt) {
             try {
               if (query.kind == TraceQuery::Kind::kRange) {
-                const RangeQueryResult result =
-                    options.deadline_us > 0
-                        ? server.range_query(query.box(), options.deadline_us)
-                        : server.range_query(query.box());
-                tally.rows_returned += result.ids.size();
+                tally.rows_returned +=
+                    server.range_query(query.box(), options.deadline_us)
+                        .ids.size();
               } else {
-                const KnnQueryResult result =
-                    options.deadline_us > 0
-                        ? server.knn_query(query.point, query.k,
-                                           options.deadline_us)
-                        : server.knn_query(query.point, query.k);
-                tally.neighbors_returned += result.neighbors.size();
+                tally.neighbors_returned +=
+                    server.knn_query(query.point, query.k, options.deadline_us)
+                        .neighbors.size();
               }
               outcome = Outcome::kAccepted;
               const auto end = clock::now();

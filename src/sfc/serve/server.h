@@ -1,14 +1,15 @@
-// The concurrent serving front end: batching admission over a sharded index.
+// The concurrent serving front end: batching admission over an index.
 //
 // Serving clients arrive one query at a time, but the engines are at their
-// best answering batches (engine reuse, chunked parallelism, shard fan-out).
-// IndexServer bridges the two with a classic batching admission queue: client
-// threads enqueue a query and block on a future; a single dispatcher thread
-// collects arrivals until the batch is full (`max_batch`) or the oldest
-// waiting query has aged out (`batch_window_us`), then executes the whole
-// batch through the sharded run_range_queries / run_knn_queries executors and
-// fulfills every future.  Under load, batches fill and throughput approaches
-// the executors' batch rate; when idle, a lone query waits at most one window.
+// best answering batches (engine reuse, chunked parallelism).  IndexServer
+// bridges the two with a classic batching admission queue: client threads
+// enqueue a query and block on a future; a single dispatcher thread collects
+// arrivals until the batch is full (`max_batch`) or the oldest waiting query
+// has aged out (`batch_window_us`), then executes the whole batch through the
+// run_range_queries / run_knn_queries executors on the generation's base
+// view — one execution path per query kind — and fulfills every future.
+// Under load, batches fill and throughput approaches the executors' batch
+// rate; when idle, a lone query waits at most one window.
 //
 // The queue is a real admission controller, not a buffer: it is bounded
 // (`max_queue`, ServerOverloadError beyond it — backpressure instead of
@@ -25,11 +26,12 @@
 // swapping it in at a batch boundary — queries in flight during a reload
 // finish against the generation they started on, the old mapping unmaps when
 // its last batch completes, and a failed reload throws ReloadError while the
-// old generation keeps serving.  A degraded generation (allow_degraded)
-// answers queries that overlap dead shards with typed PartialResultErrors.
+// old generation keeps serving.  A degraded generation (allow_degraded) runs
+// the same executors with its dead shards' key ranges excluded and answers
+// the queries that needed them with typed PartialResultErrors.
 //
-// Answers are the engines' answers — batching, sharding, and generation swaps
-// change latency and throughput, never results (the serve tests assert
+// Answers are the engines' answers — batching and generation swaps change
+// latency and throughput, never results (the serve tests assert
 // equality against direct engine calls under concurrent clients and reloads).
 #pragma once
 
@@ -40,6 +42,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,13 +51,13 @@
 #include "sfc/obs/histogram.h"
 #include "sfc/serve/generation.h"
 #include "sfc/serve/serve_error.h"
-#include "sfc/serve/sharded_index.h"
 #include "sfc/serve/trace.h"
 
 namespace sfc {
 
 struct ServerOptions {
-  /// log2 of the shard count handed to ShardedIndex (clamped to key width).
+  /// log2 of the shard count handed to ShardedIndex (clamped to key width):
+  /// how finely degraded mode localizes corruption.
   int shard_bits = 0;
   /// Executor pool for batch execution; nullptr = ThreadPool::shared().
   ThreadPool* pool = nullptr;
@@ -84,19 +87,11 @@ struct ServerOptions {
   std::uint32_t metrics_log_every_batches = 0;
 };
 
-struct ServerStats {
-  std::uint64_t queries_admitted = 0;
-  std::uint64_t range_queries = 0;
-  std::uint64_t knn_queries = 0;
-  std::uint64_t batches_dispatched = 0;
-  std::uint64_t max_batch_rows = 0;  ///< largest batch dispatched so far
-};
-
 /// Operator-facing snapshot of the admission controller (taken atomically
 /// under the queue lock).  accepted = admitted into the queue; executed =
 /// answered through a batch; accepted == executed + timed_out once drained.
 /// The failure counters are bumped before the client sees the typed error
-/// (rejected_overload/rejected_stopped before admit() throws, timed_out
+/// (rejected_overload/rejected_stopped before submit() throws, timed_out
 /// before the expired promises are failed), so a caller that just caught a
 /// ServeError will find itself counted.  executed and the latency histogram
 /// are recorded by the dispatcher after it fulfills a batch's futures, so
@@ -165,23 +160,24 @@ class IndexServer {
   /// = ServerOverloadError, deadline expired in queue = ServerTimeoutError,
   /// submitted after stop() = ServerStoppedError; in a degraded generation a
   /// query overlapping a dead shard throws PartialResultError (carrying the
-  /// live-shard partial answer).  The two-argument forms override the
-  /// server's default deadline for this query (0 = no deadline).
-  RangeQueryResult range_query(const Box& box);
-  RangeQueryResult range_query(const Box& box, std::uint64_t deadline_us);
-  KnnQueryResult knn_query(const Point& query, std::uint32_t k);
-  KnnQueryResult knn_query(const Point& query, std::uint32_t k,
-                           std::uint64_t deadline_us);
+  /// live-shard partial answer).  `deadline_us` overrides the server's
+  /// default deadline for this query (0 = no deadline; nullopt = the
+  /// server's default).
+  RangeQueryResult range_query(
+      const Box& box, std::optional<std::uint64_t> deadline_us = std::nullopt);
+  KnnQueryResult knn_query(
+      const Point& query, std::uint32_t k,
+      std::optional<std::uint64_t> deadline_us = std::nullopt);
 
   /// Same queries, with the answer stamped with the epoch of the generation
   /// that served it — the primitive a correctness checker needs to compare
   /// an answer against the dataset it was actually served from when reloads
   /// are racing the queries.
-  ServedRange range_query_served(const Box& box);
-  ServedRange range_query_served(const Box& box, std::uint64_t deadline_us);
-  ServedKnn knn_query_served(const Point& query, std::uint32_t k);
-  ServedKnn knn_query_served(const Point& query, std::uint32_t k,
-                             std::uint64_t deadline_us);
+  ServedRange range_query_served(
+      const Box& box, std::optional<std::uint64_t> deadline_us = std::nullopt);
+  ServedKnn knn_query_served(
+      const Point& query, std::uint32_t k,
+      std::optional<std::uint64_t> deadline_us = std::nullopt);
 
   /// Validates `path` fully, then atomically swaps it in as the new active
   /// generation at the next batch boundary; returns the new epoch.  Batches
@@ -201,8 +197,6 @@ class IndexServer {
   /// storage mapped even across reloads).
   std::shared_ptr<const IndexGeneration> generation() const;
   const ServerOptions& options() const { return options_; }
-  /// Snapshot of the admission counters (taken under the queue lock).
-  ServerStats stats() const;
   /// Snapshot of the robustness counters, latency histograms, and the
   /// active generation's status.
   ServerHealth health() const;
@@ -229,9 +223,10 @@ class IndexServer {
         : kind(Kind::kKnn), box(Point::zero(1), Point::zero(1)), point(p), k(kk) {}
   };
 
-  /// Shared admission path: overload/stopped checks + deadline stamping.
-  /// Returns the slot just enqueued (under mutex_, which the caller holds).
-  Pending& admit(Pending&& pending, std::uint64_t deadline_us);
+  /// The one submission path: overload/stopped checks, deadline stamping,
+  /// enqueue, and a dispatcher wake-up.  Callers take the promise's future
+  /// first; it resolves once the dispatcher answers the query.
+  void submit(Pending&& pending, std::optional<std::uint64_t> deadline_us);
 
   void dispatcher_loop();
   /// Fails batch entries whose deadline has passed; keeps the live ones.
@@ -252,7 +247,6 @@ class IndexServer {
   std::condition_variable arrivals_;
   std::vector<Pending> pending_;
   bool stopping_ = false;
-  ServerStats stats_;
   ServerHealth health_;  ///< queue_depth/stopped filled at snapshot time
   std::thread dispatcher_;
 };
@@ -277,9 +271,9 @@ struct ReplayOptions {
   std::uint32_t backoff_base_us = 200;
   /// Backoff ceiling.
   std::uint32_t backoff_max_us = 50000;
-  /// Per-query deadline passed with every submission (0 = use the server's
-  /// default deadline).
-  std::uint64_t deadline_us = 0;
+  /// Per-query deadline passed with every submission (0 = no deadline;
+  /// nullopt = the server's default deadline).
+  std::optional<std::uint64_t> deadline_us;
 };
 
 struct ReplayReport {

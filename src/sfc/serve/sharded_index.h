@@ -1,25 +1,21 @@
-// Curve-contiguous sharding of an index columns view.
+// Curve-contiguous shards of an index columns view, as a key-range table.
 //
 // Splitting by the *leading* bits of the curve key partitions the rows into
 // 2^shard_bits contiguous key ranges — and, because rows are key-sorted,
-// into contiguous row ranges too.  Each shard is therefore just a slice of
-// the base columns (zero copies of keys/ids/points) plus its own small block
-// directory rebuilt over the slice, packaged as the same IndexColumnsView
-// every engine queries.  The paper's clustering results are why this is the
-// right split: curve-contiguous shards inherit the curve's proximity
-// preservation, so a box or kNN query touches few shards and each shard's
-// scan stays as dense as the unsharded one.
+// into contiguous row ranges too.  The paper's clustering results are why
+// this is the right split: curve-contiguous shards inherit the curve's
+// proximity preservation, so corruption confined to one shard stays away
+// from most boxes and most kNN neighborhoods.
 //
-// Queries over the sharded index fan out per shard and merge:
-//   - range scans concatenate per-shard id runs in shard order (shards are
-//     ascending in key, so concatenation *is* global row order);
-//   - kNN merges the per-shard top-k under the global candidate order
-//     (squared distance, key, id) — within equal keys, row order is id
-//     order, so this is exactly the unsharded (distance, key, row) order.
-// Both are bit-identical to the unsharded engines; tests enforce it.
+// Shards are not an execution unit.  Every query runs once, on the base
+// view, through the executors of sfc/index; a shard is the unit of
+// degraded-mode liveness (sfc/serve/generation): a degraded generation hands
+// its dead shards' key ranges to those same executors as exclusions.  The
+// two ShardedIndex executor overloads below forward to the base view.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sfc/index/columns_view.h"
@@ -28,9 +24,9 @@
 
 namespace sfc {
 
-/// A sharded, read-only wrapper over any index storage (in-memory PointIndex
-/// or mmap-backed MappedIndex — anything that yields an IndexColumnsView).
-/// The base storage must outlive the sharded index.
+/// The shard table over any index storage (in-memory PointIndex or
+/// mmap-backed MappedIndex — anything that yields an IndexColumnsView).  The
+/// base storage must outlive the sharded index.
 class ShardedIndex {
  public:
   /// Splits `base` into 2^shard_bits curve-contiguous shards.  shard_bits is
@@ -40,16 +36,14 @@ class ShardedIndex {
 
   const IndexColumnsView& base() const { return base_; }
   int shard_bits() const { return shard_bits_; }
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return key_ranges_.size(); }
 
-  /// Shard s as a queryable view (slice of the base columns + own
-  /// directory); shards ascend in key order.
-  const IndexColumnsView& shard(std::size_t s) const { return shards_[s]; }
-
-  /// Inclusive key range [lo, hi] owned by shard s.
+  /// Inclusive key range [lo, hi] owned by shard s; shards ascend in key.
   KeyInterval shard_key_range(std::size_t s) const { return key_ranges_[s]; }
 
-  /// Global (base-view) row index of shard s's first row.
+  /// Base-view row of shard s's first row; shard s owns rows
+  /// [shard_row_begin(s), shard_row_begin(s + 1)), and
+  /// shard_row_begin(shard_count()) is the base view's row count.
   std::uint64_t shard_row_begin(std::size_t s) const {
     return shard_row_begin_[s];
   }
@@ -58,58 +52,21 @@ class ShardedIndex {
   IndexColumnsView base_;
   int shard_bits_ = 0;
   std::vector<KeyInterval> key_ranges_;
-  std::vector<std::uint64_t> shard_row_begin_;
-  /// Per-shard directories; the element vectors are stable (never resized
-  /// after construction) so the shard views can point into them.
-  std::vector<std::vector<index_t>> directories_;
-  std::vector<IndexColumnsView> shards_;
+  std::vector<std::uint64_t> shard_row_begin_;  ///< shard_count() + 1 entries
 };
 
-/// Sharded multi-query execution: every query fans out over all shards (each
-/// (shard, query) cell is an independent task on the pool), and per-shard
-/// results merge deterministically.  Results are bit-identical to the
-/// unsharded run_range_queries / run_knn_queries on the base view, for every
-/// shard count, thread count, and grain.
-std::vector<RangeQueryResult> run_range_queries(
+/// The base view's executors; results are the unsharded results for every
+/// shard count.
+inline std::vector<RangeQueryResult> run_range_queries(
     const ShardedIndex& index, std::span<const Box> boxes,
-    const MultiQueryOptions& options = {});
+    const MultiQueryOptions& options = {}) {
+  return run_range_queries(index.base(), boxes, options);
+}
 
-std::vector<KnnQueryResult> run_knn_queries(
+inline std::vector<KnnQueryResult> run_knn_queries(
     const ShardedIndex& index, std::span<const Point> queries, std::uint32_t k,
-    const MultiQueryOptions& options = {});
-
-/// Degraded-mode execution over a partially-dead sharded index.  `alive[s]`
-/// (nonzero = alive) marks the shards that passed per-shard verification;
-/// dead shards are skipped entirely in the fan-out, and each result carries
-/// the sorted ids of the dead shards the query actually needed — empty
-/// dead_overlap means the answer is the full, exact answer (the dead data
-/// provably could not contribute), so queries away from the corruption keep
-/// their full guarantees.
-///
-/// Range queries decide overlap exactly: the box's key cover is intersected
-/// with the dead shards' key ranges.  kNN is conservative: any dead shard is
-/// reported for every query (a dead shard could always hold a closer
-/// neighbor), and partial kNN answers are never certified.
-///
-/// With every shard alive both functions delegate to the plain executors and
-/// are bit-identical to them.
-struct DegradedRangeResult {
-  RangeQueryResult result;  ///< merged over live shards only (row order)
-  /// Dead shards whose key range the box's cover touches; sorted ascending.
-  std::vector<std::uint32_t> dead_overlap;
-};
-
-struct DegradedKnnResult {
-  KnnQueryResult result;  ///< best k over live shards; not certified global
-  std::vector<std::uint32_t> dead_overlap;
-};
-
-std::vector<DegradedRangeResult> run_range_queries_degraded(
-    const ShardedIndex& index, std::span<const Box> boxes,
-    std::span<const std::uint8_t> alive, const MultiQueryOptions& options = {});
-
-std::vector<DegradedKnnResult> run_knn_queries_degraded(
-    const ShardedIndex& index, std::span<const Point> queries, std::uint32_t k,
-    std::span<const std::uint8_t> alive, const MultiQueryOptions& options = {});
+    const MultiQueryOptions& options = {}) {
+  return run_knn_queries(index.base(), queries, k, options);
+}
 
 }  // namespace sfc

@@ -3,9 +3,11 @@
 // under; old generations unmap exactly at refcount zero; a corrupt reload is
 // rejected with the old generation untouched; and shard-isolated degraded
 // mode routes queries around dead shards with typed partial results — for
-// every curve family — until a repaired reload resurrects them.
+// every curve family, never reading a dead row or the file's directory —
+// until a repaired reload resurrects them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -13,11 +15,15 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sfc/curves/curve_factory.h"
+#include "sfc/index/executor.h"
 #include "sfc/index/point_index.h"
 #include "sfc/index/range_scan.h"
+#include "sfc/ranges/range_cover.h"
 #include "sfc/rng/sampling.h"
 #include "sfc/serve/generation.h"
 #include "sfc/serve/serve_error.h"
@@ -92,6 +98,50 @@ void corrupt_point_row(const std::string& path, std::uint64_t row) {
   file.seekp(static_cast<std::streamoff>(offset));
   file.write(&byte, 1);
   ASSERT_TRUE(file.good());
+}
+
+/// Overwrites word `index` of the 8-byte-word column `column` (0 = keys,
+/// 3 = block directory) of the index file at `path`.
+void write_column_word(const std::string& path, int column,
+                       std::uint64_t index, index_t value) {
+  MappedIndexOptions lazy;
+  lazy.verify = false;
+  lazy.lock = false;
+  std::uint64_t offset = 0;
+  {
+    const MappedIndex mapped = MappedIndex::open(path, lazy);
+    offset = mapped.column_offset(column) + index * sizeof(index_t);
+  }
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  ASSERT_TRUE(file.good());
+}
+
+/// Brute-force top k over the rows of `view` in shards `alive` marks live,
+/// ordered (squared distance, key, id).
+std::vector<KnnNeighbor> live_top_k(const IndexColumnsView& view,
+                                    const ShardedIndex& shards,
+                                    const std::vector<std::uint8_t>& alive,
+                                    const Point& query, std::uint32_t k) {
+  std::vector<KnnNeighbor> all;
+  for (std::size_t s = 0; s < shards.shard_count(); ++s) {
+    if (alive[s] == 0) continue;
+    for (std::uint64_t r = shards.shard_row_begin(s);
+         r < shards.shard_row_begin(s + 1); ++r) {
+      all.push_back(KnnNeighbor{
+          view.id_of_row(r), view.key_of_row(r),
+          squared_euclidean_distance(query, view.point_of_row(r))});
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const KnnNeighbor& a, const KnnNeighbor& b) {
+              return std::tie(a.sq_dist, a.key, a.id) <
+                     std::tie(b.sq_dist, b.key, b.id);
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
 }
 
 TEST(Generation, ReloadStormKeepsEveryAnswerGenerationConsistent) {
@@ -292,6 +342,10 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
       EXPECT_EQ(error.dead_shards(), std::vector<std::uint32_t>{
                                          static_cast<std::uint32_t>(dead)});
       EXPECT_EQ(error.partial_neighbors().size(), 4u) << family;
+      EXPECT_EQ(error.partial_neighbors(),
+                live_top_k(a.index.view(), reference, health.shard_alive,
+                           Point{31, 31}, 4))
+          << family;
     }
 
     // A repaired reload resurrects the shard: full answers everywhere.
@@ -303,6 +357,147 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
                 scan_ids(a.index.view(), probe_box(i)))
           << family << " probe " << i;
     }
+  }
+}
+
+TEST(Generation, DegradedServingReadsNothingDead) {
+  // A degraded generation must never read a dead shard's keys, points or
+  // ids, nor the file's block directory.  Corrupt one shard's keys (unsorted,
+  // then out of range) and, separately, one directory entry whose misuse
+  // would misroute lookups in live shards.  Exactly that shard dies, and
+  // every answer equals the healthy answer restricted to live shards.
+  // Hilbert's subtree nodes align with its 4 shards.  Peano's (powers of 9)
+  // straddle its 32 small shards, so kNN leaf scans that reach a dead
+  // shard's rows must step over them.
+  struct Config {
+    std::string family;
+    coord_t side;
+    int shard_bits;
+  };
+  for (const Config& config :
+       {Config{"hilbert", 64, 2}, Config{"peano", 81, 5}}) {
+    const std::string& family = config.family;
+    const int shard_bits = config.shard_bits;
+    CurveDescriptor descriptor;
+    descriptor.family = family;
+    descriptor.dim = 2;
+    descriptor.side = config.side;
+    const CurvePtr curve = make_curve(descriptor);
+    const Universe u = curve->universe();
+    Xoshiro256 rng(48);
+    std::vector<Point> points;
+    for (int i = 0; i < 1200; ++i) points.push_back(random_cell(u, rng));
+    IndexBuildOptions build;
+    build.block_rows = 16;  // many directory entries; shards span many blocks
+    const PointIndex index = PointIndex::build(*curve, points, build);
+    const IndexColumnsView healthy = index.view();
+    std::vector<Box> boxes;
+    for (int i = 0; i < 60; ++i) boxes.push_back(random_box(u, 9, rng));
+    std::vector<Point> queries;
+    for (int i = 0; i < 60; ++i) queries.push_back(random_cell(u, rng));
+
+    const ShardedIndex reference(healthy, shard_bits);
+    // A row in the middle of shard s that is not the last row of its block.
+    const auto middle_row = [&](std::size_t s) {
+      std::uint64_t row =
+          (reference.shard_row_begin(s) + reference.shard_row_begin(s + 1)) / 2;
+      if (row % build.block_rows == build.block_rows - 1) --row;
+      return row;
+    };
+    const std::string path = temp_path("read_nothing_dead_" + family);
+
+    for (const std::string corruption : {"unsorted", "out_of_range",
+                                         "directory"}) {
+      const std::string where = family + " " + corruption;
+      write_index_file(path, index, descriptor);
+      std::size_t dead = 0;
+      if (corruption == "unsorted") {
+        dead = 1;
+        std::uint64_t row = middle_row(dead);
+        while (healthy.key_of_row(row) == healthy.key_of_row(row + 1)) ++row;
+        write_column_word(path, 0, row, healthy.key_of_row(row + 1));
+        write_column_word(path, 0, row + 1, healthy.key_of_row(row));
+      } else if (corruption == "out_of_range") {
+        dead = 2;
+        write_column_word(path, 0, middle_row(dead), 0);
+      } else {
+        // The entry lower_bound probes first: pointing it at key 0 would send
+        // every directory search for a lower key past its block.
+        const std::uint64_t block = healthy.block_count() / 2;
+        const std::uint64_t last_row =
+            std::min<std::uint64_t>((block + 1) * build.block_rows,
+                                    healthy.row_count()) -
+            1;
+        while (reference.shard_row_begin(dead + 1) <= last_row) ++dead;
+        write_column_word(path, 3, block, 0);
+      }
+
+      EXPECT_THROW((void)IndexGeneration::open(path, shard_bits, 0, false),
+                   StoreError)
+          << where;
+      const auto gen = IndexGeneration::open(path, shard_bits, 0, true);
+      ASSERT_EQ(gen->dead_shards(),
+                std::vector<std::uint32_t>{static_cast<std::uint32_t>(dead)})
+          << where << ": " << gen->shard_errors()[dead];
+
+      ServerOptions options;
+      options.shard_bits = shard_bits;
+      options.allow_degraded = true;
+      IndexServer server(path, options);
+      const KeyInterval dead_keys = reference.shard_key_range(dead);
+      const std::uint64_t dead_first = reference.shard_row_begin(dead);
+      const std::uint64_t dead_end = reference.shard_row_begin(dead + 1);
+
+      int full = 0;
+      for (std::size_t i = 0; i < boxes.size(); ++i) {
+        // The box needs the dead shard iff its exact cover (computed by
+        // enumeration, independently of the engines) reaches the dead keys.
+        bool needs_dead = false;
+        for (const KeyInterval& run : cover_by_enumeration(*curve, boxes[i])) {
+          needs_dead |= run.lo <= dead_keys.hi && dead_keys.lo <= run.hi;
+        }
+        const std::vector<std::uint32_t> ref = scan_ids(healthy, boxes[i]);
+        std::vector<std::uint32_t> live_ref;
+        for (std::uint64_t r = 0; r < healthy.row_count(); ++r) {
+          if ((r < dead_first || r >= dead_end) &&
+              boxes[i].contains(healthy.point_of_row(r))) {
+            live_ref.push_back(healthy.id_of_row(r));
+          }
+        }
+        try {
+          EXPECT_EQ(server.range_query(boxes[i]).ids, ref)
+              << where << " box " << i;
+          EXPECT_FALSE(needs_dead) << where << " box " << i;
+          ++full;
+        } catch (const PartialResultError& error) {
+          EXPECT_TRUE(needs_dead) << where << " box " << i;
+          EXPECT_EQ(error.partial_ids(), live_ref) << where << " box " << i;
+        }
+      }
+      EXPECT_GT(full, 0) << where;
+
+      // kNN stays conservative (every query reports the dead shard), and its
+      // partial answer is the exact top k over the live rows — which is the
+      // healthy answer whenever that lies wholly in live shards.
+      const std::vector<KnnQueryResult> healthy_knn =
+          run_knn_queries(healthy, queries, 6);
+      int all_live = 0;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const std::vector<KnnNeighbor> expected =
+            live_top_k(healthy, reference, gen->shard_alive(), queries[i], 6);
+        try {
+          (void)server.knn_query(queries[i], 6);
+          ADD_FAILURE() << where << " query " << i << ": expected partial";
+        } catch (const PartialResultError& error) {
+          EXPECT_EQ(error.dead_shards(), gen->dead_shards()) << where;
+          EXPECT_EQ(error.partial_neighbors(), expected)
+              << where << " query " << i;
+          if (expected == healthy_knn[i].neighbors) ++all_live;
+        }
+      }
+      EXPECT_GT(all_live, 0) << where;
+    }
+
   }
 }
 

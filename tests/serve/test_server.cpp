@@ -1,4 +1,4 @@
-// The serving front end batches and shards, but answers must be exactly the
+// The serving front end batches, but answers must be exactly the
 // engines' answers — under any client concurrency, batch size, or window.
 #include "sfc/serve/server.h"
 
@@ -12,6 +12,7 @@
 #include "sfc/curves/curve_factory.h"
 #include "sfc/index/executor.h"
 #include "sfc/index/point_index.h"
+#include "sfc/obs/metrics.h"
 #include "sfc/ranges/range_cover.h"
 #include "sfc/rng/sampling.h"
 
@@ -82,6 +83,7 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
     options.max_batch = 16;
     options.batch_window_us = 100;
     IndexServer server(f.index.view(), options);
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
 
     std::vector<std::vector<std::uint32_t>> range_got(range_slots.size());
     std::vector<std::vector<KnnNeighbor>> knn_got(knn_slots.size());
@@ -109,12 +111,21 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
           << clients << " clients, knn query " << i;
     }
 
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.queries_admitted, f.trace.size());
-    EXPECT_EQ(stats.range_queries, range_slots.size());
-    EXPECT_EQ(stats.knn_queries, knn_slots.size());
-    EXPECT_GE(stats.batches_dispatched, 1u);
-    EXPECT_LE(stats.max_batch_rows, f.trace.size());
+    // Drain first: executed is recorded after the futures are fulfilled.
+    server.stop();
+    const ServerHealth health = server.health();
+    EXPECT_EQ(health.accepted, f.trace.size());
+    EXPECT_EQ(health.executed, f.trace.size());
+    EXPECT_GE(health.batches_dispatched, 1u);
+    EXPECT_LE(health.batches_dispatched, f.trace.size());
+    // The per-kind split lives in the registry.
+    const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+    EXPECT_EQ(after.value("serve.range_queries") -
+                  before.value("serve.range_queries"),
+              static_cast<std::int64_t>(range_slots.size()));
+    EXPECT_EQ(after.value("serve.knn_queries") -
+                  before.value("serve.knn_queries"),
+              static_cast<std::int64_t>(knn_slots.size()));
   }
 }
 
@@ -134,13 +145,13 @@ TEST(IndexServer, BatchesFillUnderBackpressure) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.queries_admitted, 80u);
+  const ServerHealth health = server.health();
+  EXPECT_EQ(health.accepted, 80u);
   // 80 queries in batches of <= 8 means at least 10 dispatches; batching must
-  // have aggregated *something* (fewer batches than queries).
-  EXPECT_GE(stats.batches_dispatched, 10u);
-  EXPECT_LT(stats.batches_dispatched, 80u);
-  EXPECT_GE(stats.max_batch_rows, 2u);
+  // have aggregated *something* (fewer batches than queries, so some batch
+  // held at least two).
+  EXPECT_GE(health.batches_dispatched, 10u);
+  EXPECT_LT(health.batches_dispatched, 80u);
 }
 
 TEST(IndexServer, PropagatesEngineErrorsToTheCaller) {

@@ -1,13 +1,14 @@
 // Sharding is a serving-layer layout decision — it must never change an
-// answer.  These tests pin the bit-identity of sharded range and kNN
-// execution against the unsharded executors for every shard count, plus the
-// structural invariants of the shard slices themselves.
+// answer.  These tests pin the bit-identity of range and kNN execution over
+// a ShardedIndex against the unsharded executors for every shard count, plus
+// the structural invariants of the shard key-range table itself.
 #include "sfc/serve/sharded_index.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sfc/curves/curve_factory.h"
@@ -49,33 +50,32 @@ Workload make_workload(const std::string& family, coord_t side,
 
 TEST(ShardedIndex, ShardsPartitionTheRows) {
   const Workload w = make_workload("hilbert", 64, 17);
+  const IndexColumnsView& base = w.index.view();
   for (const int bits : {0, 1, 3, 5}) {
-    const ShardedIndex sharded(w.index.view(), bits);
+    const ShardedIndex sharded(base, bits);
     ASSERT_EQ(sharded.shard_count(), std::size_t{1} << bits);
     std::uint64_t total = 0;
     index_t previous_hi = 0;
     for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-      const IndexColumnsView& shard = sharded.shard(s);
       const KeyInterval range = sharded.shard_key_range(s);
       if (s > 0) {
         EXPECT_EQ(range.lo, previous_hi + 1) << "shard " << s;
       }
       previous_hi = range.hi;
-      EXPECT_EQ(sharded.shard_row_begin(s), total) << "shard " << s;
-      for (std::uint64_t r = 0; r < shard.row_count(); ++r) {
-        const index_t key = shard.key_of_row(r);
+      const std::uint64_t begin = sharded.shard_row_begin(s);
+      const std::uint64_t end = sharded.shard_row_begin(s + 1);
+      EXPECT_EQ(begin, total) << "shard " << s;
+      ASSERT_LE(begin, end) << "shard " << s;
+      for (std::uint64_t r = begin; r < end; ++r) {
+        const index_t key = base.key_of_row(r);
         EXPECT_GE(key, range.lo) << "shard " << s << " row " << r;
         EXPECT_LE(key, range.hi) << "shard " << s << " row " << r;
-        // Shard rows are the base rows, in order.
-        EXPECT_EQ(key, w.index.view().key_of_row(total + r));
-        EXPECT_EQ(shard.id_of_row(r), w.index.view().id_of_row(total + r));
       }
-      // The rebuilt directory answers interval queries like the base does.
-      if (!shard.empty()) {
-        EXPECT_EQ(shard.rows_in_interval(range.lo, range.hi).second,
-                  shard.row_count());
-      }
-      total += shard.row_count();
+      // The shard's row slice is exactly the base rows of its key range.
+      EXPECT_EQ(base.rows_in_interval(range.lo, range.hi),
+                std::make_pair(begin, end))
+          << "shard " << s;
+      total = end;
     }
     EXPECT_EQ(total, w.index.row_count()) << "shard_bits " << bits;
   }
@@ -154,11 +154,8 @@ TEST(ShardedIndex, NonPowerOfTwoUniverseShards) {
   const Workload w = make_workload("peano", 27, 41);
   const auto reference = run_knn_queries(w.index.view(), w.queries, 4);
   const ShardedIndex sharded(w.index.view(), 4);
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    total += sharded.shard(s).row_count();
-  }
-  EXPECT_EQ(total, w.index.row_count());
+  EXPECT_EQ(sharded.shard_row_begin(sharded.shard_count()),
+            w.index.row_count());
   const auto results = run_knn_queries(sharded, w.queries, 4);
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(results[i].neighbors, reference[i].neighbors) << "query " << i;

@@ -53,7 +53,6 @@
 #include "sfc/rng/splitmix64.h"
 #include "sfc/serve/chaos.h"
 #include "sfc/serve/server.h"
-#include "sfc/serve/sharded_index.h"
 #include "sfc/serve/trace.h"
 #include "sfc/store/fault_inject.h"
 #include "sfc/store/index_store.h"
