@@ -31,9 +31,9 @@ RangeScanMetrics& range_scan_metrics() {
 
 void RangeScanEngine::scan(const Box& box, std::vector<std::uint32_t>* out,
                            RangeScanStats* stats,
-                           std::vector<std::uint32_t>* excluded_hits) {
+                           std::vector<std::uint32_t>* excluded_overlap) {
   out->clear();
-  if (excluded_hits != nullptr) excluded_hits->clear();
+  if (excluded_overlap != nullptr) excluded_overlap->clear();
   RangeScanStats local;
   CoverStats cover_stats;
   const std::span<const std::uint32_t> ids = view_.ids();
@@ -58,9 +58,9 @@ void RangeScanEngine::scan(const Box& box, std::vector<std::uint32_t>* out,
         auto it = first_interval_ending_at(excluded_, interval.lo);
         for (; it != excluded_.end() && it->lo <= interval.hi; ++it) {
           const auto hit = static_cast<std::uint32_t>(it - excluded_.begin());
-          if (excluded_hits != nullptr &&
-              (excluded_hits->empty() || excluded_hits->back() != hit)) {
-            excluded_hits->push_back(hit);
+          if (excluded_overlap != nullptr &&
+              (excluded_overlap->empty() || excluded_overlap->back() != hit)) {
+            excluded_overlap->push_back(hit);
           }
           if (it->lo > lo) touched |= emit(lo, it->lo - 1);
           if (it->hi >= interval.hi) {

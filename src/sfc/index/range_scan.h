@@ -56,12 +56,12 @@ class RangeScanEngine {
   /// Appends to *out the payload id of every indexed point inside `box`, in
   /// row order (ascending key, duplicate keys in input order), skipping the
   /// excluded key ranges.  The box must lie inside the curve's universe.
-  /// `out` is cleared first.  `excluded_hits`, when given, is set to the
+  /// `out` is cleared first.  `excluded_overlap`, when given, is set to the
   /// indices into `excluded` of the ranges the box's cover intersects,
   /// ascending; it stays empty exactly when the answer is complete.
   void scan(const Box& box, std::vector<std::uint32_t>* out,
             RangeScanStats* stats = nullptr,
-            std::vector<std::uint32_t>* excluded_hits = nullptr);
+            std::vector<std::uint32_t>* excluded_overlap = nullptr);
 
   const IndexColumnsView& view() const { return view_; }
 
