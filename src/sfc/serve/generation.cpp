@@ -1,6 +1,7 @@
 #include "sfc/serve/generation.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -16,70 +17,16 @@ constexpr std::uint32_t kIdsBit = 1u << 1;
 constexpr std::uint32_t kPointsBit = 1u << 2;
 constexpr std::uint32_t kDirectoryBit = 1u << 3;
 
-/// Semantic verification of one shard's rows: keys sorted, inside the
-/// shard's key range and the universe, points well-formed and in-universe,
-/// and every point re-encoding to its stored key through the generation's
-/// curve — the same checks the strict open runs globally, restricted to the
-/// rows this shard owns so a failure is attributable.  Returns the empty
-/// string when the shard is clean, else a description of the first failure.
-std::string verify_shard(const SpaceFillingCurve& curve,
-                         std::span<const index_t> keys,
-                         std::span<const Point> points,
-                         const KeyInterval& key_range) {
-  const Universe& u = curve.universe();
-  const index_t cells = u.cell_count();
-  for (std::uint64_t r = 0; r < keys.size(); ++r) {
-    if (keys[r] >= cells) {
-      return "row " + std::to_string(r) + " key " + std::to_string(keys[r]) +
-             " outside the " + std::to_string(cells) + "-cell universe";
-    }
-    if (keys[r] < key_range.lo || keys[r] > key_range.hi) {
-      return "row " + std::to_string(r) + " key " + std::to_string(keys[r]) +
-             " outside the shard's key range [" + std::to_string(key_range.lo) +
-             ", " + std::to_string(key_range.hi) + "]";
-    }
-    if (r > 0 && keys[r - 1] > keys[r]) {
-      return "key column not sorted at row " + std::to_string(r);
-    }
-  }
-  constexpr std::uint64_t kVerifyChunk = 4096;
-  std::vector<index_t> recoded(
-      std::min<std::uint64_t>(keys.size(), kVerifyChunk));
-  for (std::uint64_t at = 0; at < keys.size(); at += kVerifyChunk) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kVerifyChunk, keys.size() - at);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const Point& p = points[at + i];
-      if (p.dim() != u.dim()) {
-        return "row " + std::to_string(at + i) + " point dimension " +
-               std::to_string(p.dim()) + " != curve dimension " +
-               std::to_string(u.dim());
-      }
-      if (!u.contains(p)) {
-        return "row " + std::to_string(at + i) +
-               " point outside the curve universe";
-      }
-    }
-    curve.index_of_batch(points.subspan(at, n),
-                         std::span<index_t>(recoded.data(), n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (recoded[i] != keys[at + i]) {
-        return "row " + std::to_string(at + i) + " key " +
-               std::to_string(keys[at + i]) +
-               " does not re-encode from its point (curve gives " +
-               std::to_string(recoded[i]) + ")";
-      }
-    }
-  }
-  return std::string();
-}
+/// Marks a key that is not one: a malformed or out-of-universe point's key.
+constexpr index_t kNoKey = std::numeric_limits<index_t>::max();
 
-/// Shard owning base row `row`: the last shard whose first row is <= row
-/// (empty shards share a begin with their successor and own no rows).
-std::size_t shard_of_row(const ShardedIndex& layout, std::uint64_t row) {
-  std::size_t s = 0;
-  while (layout.shard_row_begin(s + 1) <= row) ++s;
-  return s;
+/// Why row `row` is damaged: its stored key and its point's key disagree.
+std::string damage_note(std::uint64_t row, index_t stored, index_t encoded) {
+  return "row " + std::to_string(row) + " key " + std::to_string(stored) +
+         (encoded == kNoKey
+              ? " beside a point outside the curve universe"
+              : " does not re-encode from its point (curve gives " +
+                    std::to_string(encoded) + ")");
 }
 
 }  // namespace
@@ -114,47 +61,114 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
                      "a shard, refusing degraded open");
   }
 
-  // Localize over a directory rebuilt from the key column, so a corrupt
-  // entry in the file's directory cannot shift the shard table onto a second
-  // shard.
+  // Localize row by row.  A row is intact when its point lies in the
+  // universe and re-encodes to its key; intact rows must ascend, or the
+  // damage is not attributable.  A damaged row's true key lies between the
+  // keys of the intact rows around it, and it is the stored key when the
+  // key column's checksum holds, the point's key when the points column's
+  // does, and either one otherwise.  The shards of the candidates that fit
+  // between the intact keys die, or every shard of that gap when none fits.
+  // Nothing here searches the key column or the file's directory, so no
+  // corrupt word can move rows from one shard to another.
   const IndexColumnsView file = gen->mapped_->view();
-  const std::vector<index_t> key_directory =
-      build_block_directory(file.keys(), file.block_rows());
-  const IndexColumnsView raw(file.curve(), file.block_rows(), file.keys(),
-                             file.ids(), file.points(), key_directory);
-  const ShardedIndex layout(raw, shard_bits);
+  const SpaceFillingCurve& curve = file.curve();
+  const Universe& u = curve.universe();
+  const std::span<const index_t> keys = file.keys();
+  const std::span<const Point> points = file.points();
+  const std::uint64_t rows = keys.size();
+  // Only the key-range table is used, and it depends on the curve alone.
+  const ShardedIndex layout(
+      IndexColumnsView(curve, file.block_rows(), {}, {}, {}, {}), shard_bits);
   const std::size_t count = layout.shard_count();
   gen->shard_alive_.assign(count, 1);
   gen->shard_errors_.assign(count, std::string());
 
   std::size_t dead_count = 0;
-  const auto mark_dead = [&](std::size_t s, std::string why) {
+  const auto mark_dead = [&](std::size_t s, const auto& why) {
     if (gen->shard_alive_[s] == 0) return;
     gen->shard_alive_[s] = 0;
-    gen->shard_errors_[s] = std::move(why);
+    gen->shard_errors_[s] = why();
     ++dead_count;
   };
 
-  for (std::size_t s = 0; s < count; ++s) {
-    const std::uint64_t begin = layout.shard_row_begin(s);
-    const std::uint64_t n = layout.shard_row_begin(s + 1) - begin;
-    std::string why = verify_shard(raw.curve(), raw.keys().subspan(begin, n),
-                                   raw.points().subspan(begin, n),
-                                   layout.shard_key_range(s));
-    if (!why.empty()) mark_dead(s, std::move(why));
-  }
+  struct Damaged {
+    std::uint64_t row;
+    index_t stored;
+    index_t encoded;
+    std::size_t first_dead = 0;  ///< lowest shard the row killed
+  };
+  std::vector<Damaged> damaged;  // ascending by row
+  std::size_t resolved = 0;      // damaged[resolved..] await the next intact key
+  index_t gap_lo = 0;            // key of the last intact row
+  const bool keys_sound = (mask & kKeysBit) == 0;
+  const bool points_sound = (mask & kPointsBit) == 0;
+  const auto close_gap = [&](index_t gap_hi) {
+    for (; resolved < damaged.size(); ++resolved) {
+      Damaged& d = damaged[resolved];
+      const auto why = [&] { return damage_note(d.row, d.stored, d.encoded); };
+      d.first_dead = count;
+      for (const index_t key : {keys_sound || !points_sound ? d.stored : kNoKey,
+                                keys_sound ? kNoKey : d.encoded}) {
+        if (key < gap_lo || key > gap_hi) continue;
+        const std::size_t s = layout.shard_of_key(key);
+        mark_dead(s, why);
+        d.first_dead = std::min(d.first_dead, s);
+      }
+      if (d.first_dead == count) {
+        d.first_dead = layout.shard_of_key(gap_lo);
+        for (std::size_t s = d.first_dead; s <= layout.shard_of_key(gap_hi);
+             ++s) {
+          mark_dead(s, why);
+        }
+      }
+    }
+  };
 
-  // A mismatch in the file's block directory marks the shard owning the
-  // block's last row: that is where the disagreeing key lives.
+  constexpr std::uint64_t kVerifyChunk = 4096;
+  std::vector<index_t> encoded(std::min<std::uint64_t>(rows, kVerifyChunk));
+  for (std::uint64_t at = 0; at < rows; at += kVerifyChunk) {
+    const std::uint64_t n = std::min<std::uint64_t>(kVerifyChunk, rows - at);
+    const std::span<const Point> chunk = points.subspan(at, n);
+    if (std::all_of(chunk.begin(), chunk.end(),
+                    [&](const Point& p) { return u.contains(p); })) {
+      curve.index_of_batch(chunk, std::span<index_t>(encoded.data(), n));
+    } else {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        encoded[i] = u.contains(chunk[i]) ? curve.index_of(chunk[i]) : kNoKey;
+      }
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const index_t key = keys[at + i];
+      if (key != encoded[i] || key == kNoKey) {
+        damaged.push_back(Damaged{at + i, key, encoded[i]});
+        continue;
+      }
+      if (key < gap_lo) {
+        throw StoreError("index open: '" + path + "': intact row " +
+                         std::to_string(at + i) +
+                         " sorts below an earlier intact row, not "
+                         "localizable to a shard, refusing degraded open");
+      }
+      close_gap(key);
+      gap_lo = key;
+    }
+  }
+  close_gap(u.cell_count() - 1);
+
+  // A mismatch in the file's block directory beside an intact row marks that
+  // row's shard: that is where the disagreeing key lives.  (A damaged row's
+  // shards are dead already.)
   const std::span<const index_t> directory = file.block_last_key();
-  const std::uint64_t rows = raw.row_count();
   for (std::uint64_t b = 0; b < directory.size(); ++b) {
-    if (directory[b] != key_directory[b]) {
-      const std::uint64_t end = std::min<std::uint64_t>(
-          (b + 1) * std::uint64_t{raw.block_rows()}, rows);
-      mark_dead(shard_of_row(layout, end - 1),
-                "global directory entry " + std::to_string(b) +
-                    " disagrees with the key column");
+    const std::uint64_t end = std::min<std::uint64_t>(
+        (b + 1) * std::uint64_t{file.block_rows()}, rows);
+    if (end == 0) break;
+    if (directory[b] != keys[end - 1] &&
+        !std::ranges::binary_search(damaged, end - 1, {}, &Damaged::row)) {
+      mark_dead(layout.shard_of_key(keys[end - 1]), [&] {
+        return "global directory entry " + std::to_string(b) +
+               " disagrees with the key column";
+      });
     }
   }
 
@@ -177,29 +191,36 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
   }
 
   // Serve from a view that never reads a dead row or the file's directory:
-  // dead rows take their shard's first key, which keeps the copy sorted
-  // (live shards verified sorted and inside their ranges) and puts every
-  // dead row inside its excluded range.
+  // live rows keep their keys, and every dead row takes the first key of a
+  // dead shard — its own for an intact row, the lowest it killed for a
+  // damaged one, raised to the key before it.  That keeps the copy sorted
+  // (a damaged row's dead shards lie between its intact neighbours' shards)
+  // and puts every dead row inside an excluded range.
   gen->live_keys_.resize(rows);
-  for (std::size_t s = 0; s < count; ++s) {
-    const auto first = static_cast<std::ptrdiff_t>(layout.shard_row_begin(s));
-    const auto last =
-        static_cast<std::ptrdiff_t>(layout.shard_row_begin(s + 1));
-    const auto out = gen->live_keys_.begin() + first;
-    if (gen->shard_alive_[s] != 0) {
-      std::copy(raw.keys().begin() + first, raw.keys().begin() + last, out);
+  auto next_damaged = damaged.begin();
+  index_t previous = 0;
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    if (next_damaged != damaged.end() && next_damaged->row == r) {
+      previous = std::max(
+          previous, layout.shard_key_range(next_damaged->first_dead).lo);
+      ++next_damaged;
     } else {
-      std::fill(out, gen->live_keys_.begin() + last,
-                layout.shard_key_range(s).lo);
-      gen->dead_shards_.push_back(static_cast<std::uint32_t>(s));
-      gen->dead_key_ranges_.push_back(layout.shard_key_range(s));
+      const std::size_t s = layout.shard_of_key(keys[r]);
+      previous =
+          gen->shard_alive_[s] != 0 ? keys[r] : layout.shard_key_range(s).lo;
     }
+    gen->live_keys_[r] = previous;
+  }
+  for (std::size_t s = 0; s < count; ++s) {
+    if (gen->shard_alive_[s] != 0) continue;
+    gen->dead_shards_.push_back(static_cast<std::uint32_t>(s));
+    gen->dead_key_ranges_.push_back(layout.shard_key_range(s));
   }
   gen->live_directory_ =
-      build_block_directory(gen->live_keys_, raw.block_rows());
+      build_block_directory(gen->live_keys_, file.block_rows());
   gen->sharded_.emplace(
-      IndexColumnsView(raw.curve(), raw.block_rows(), gen->live_keys_,
-                       raw.ids(), raw.points(), gen->live_directory_),
+      IndexColumnsView(curve, file.block_rows(), gen->live_keys_, file.ids(),
+                       file.points(), gen->live_directory_),
       shard_bits);
   return gen;
 }

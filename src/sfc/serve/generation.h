@@ -12,16 +12,19 @@
 // validation throws a typed ReloadError and leaves the old generation active:
 // a bad push is an operator event, never an outage.
 //
-// Degraded mode rides the same open path: with allow_degraded, per-shard
-// verification marks corrupt shards dead instead of failing the whole open
-// (as long as the corruption is localizable — an unattributable mismatch
-// still rejects the file), so a partially-damaged index serves full answers
-// for queries that provably never needed the dead rows and typed
-// PartialResultErrors for the rest.  A degraded generation serves from a
-// repaired view that never reads a dead shard's rows or the file's
-// directory: the mapped ids and points, a key column copy in which every
-// dead row's key is its shard's first key, and a directory rebuilt from that
-// copy; queries exclude dead_key_ranges().  Reloading a repaired file
+// Degraded mode rides the same open path: with allow_degraded, row-by-row
+// verification marks the shards of damaged rows dead instead of failing the
+// whole open (as long as the corruption is localizable — an unattributable
+// mismatch still rejects the file), so a partially-damaged index serves full
+// answers for queries that provably never needed the dead rows and typed
+// PartialResultErrors for the rest.  A damaged row is one whose key and
+// point disagree; it kills the shards its true key can lie in, bounded by
+// the intact rows around it, so no search over a corrupt column decides
+// which rows a shard owns.  A degraded generation serves from a repaired
+// view that never reads a dead shard's rows or the file's directory: the
+// mapped ids and points, a key column copy in which every dead row's key is
+// a dead shard's first key, and a directory rebuilt from that copy; queries
+// exclude dead_key_ranges().  Reloading a repaired file
 // resurrects the shards, because liveness is a property of the generation,
 // not the server.
 #pragma once
@@ -48,11 +51,12 @@ class IndexGeneration {
  public:
   /// Opens and fully validates `path`.  With allow_degraded = false this is
   /// a strict open: any corruption throws StoreError.  With allow_degraded =
-  /// true, corruption that per-shard verification can localize marks those
-  /// shards dead and the open succeeds degraded; corruption that cannot be
-  /// attributed to a shard (an ids-column mismatch — ids carry no semantic
-  /// invariant a shard check could catch — or a checksum mismatch no shard
-  /// check explains), or every shard dead, still throws.
+  /// true, corruption that row-by-row verification can localize marks the
+  /// shards it touches dead and the open succeeds degraded; corruption that
+  /// cannot be attributed to a shard (an ids-column mismatch — ids carry no
+  /// semantic invariant a row check could catch — intact rows out of key
+  /// order, or a checksum mismatch no row check explains), or every shard
+  /// dead, still throws.
   static std::shared_ptr<const IndexGeneration> open(const std::string& path,
                                                      int shard_bits,
                                                      std::uint64_t epoch,

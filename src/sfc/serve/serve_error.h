@@ -111,7 +111,7 @@ class PartialResultError : public ServeError {
         partial_neighbors_(std::move(partial_neighbors)) {}
 
   /// Shards (by index) whose key range the query needed but which failed
-  /// per-shard verification; sorted ascending.
+  /// the degraded open's verification; sorted ascending.
   const std::vector<std::uint32_t>& dead_shards() const { return dead_shards_; }
   /// Live-shard range answer (row order over the live shards); empty for kNN.
   const std::vector<std::uint32_t>& partial_ids() const { return partial_ids_; }

@@ -542,13 +542,10 @@ ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,
           for (std::uint32_t attempt = 0;; ++attempt) {
             try {
               if (query.kind == TraceQuery::Kind::kRange) {
-                tally.rows_returned +=
-                    server.range_query(query.box(), options.deadline_us)
-                        .ids.size();
+                tally.rows_returned += server.range_query(query.box()).ids.size();
               } else {
                 tally.neighbors_returned +=
-                    server.knn_query(query.point, query.k, options.deadline_us)
-                        .neighbors.size();
+                    server.knn_query(query.point, query.k).neighbors.size();
               }
               outcome = Outcome::kAccepted;
               const auto end = clock::now();

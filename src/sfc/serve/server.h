@@ -78,7 +78,7 @@ struct ServerOptions {
   /// early at the earliest queued deadline, but the query has already aged
   /// out by then; give deadlines headroom above the window.
   std::uint64_t deadline_us = 0;
-  /// Open files degraded when per-shard verification can localize corruption
+  /// Open files degraded when verification can localize corruption to shards
   /// (dead shards + PartialResultError) instead of failing the open/reload.
   /// Applies to the path constructor and every reload().
   bool allow_degraded = false;
@@ -271,9 +271,6 @@ struct ReplayOptions {
   std::uint32_t backoff_base_us = 200;
   /// Backoff ceiling.
   std::uint32_t backoff_max_us = 50000;
-  /// Per-query deadline passed with every submission (0 = no deadline;
-  /// nullopt = the server's default deadline).
-  std::optional<std::uint64_t> deadline_us;
 };
 
 struct ReplayReport {

@@ -31,4 +31,11 @@ ShardedIndex::ShardedIndex(IndexColumnsView base, int shard_bits)
   }
 }
 
+std::size_t ShardedIndex::shard_of_key(index_t key) const {
+  return static_cast<std::size_t>(
+      std::partition_point(key_ranges_.begin(), key_ranges_.end(),
+                           [key](const KeyInterval& r) { return r.hi < key; }) -
+      key_ranges_.begin());
+}
+
 }  // namespace sfc

@@ -40,6 +40,8 @@ class ShardedIndex {
 
   /// Inclusive key range [lo, hi] owned by shard s; shards ascend in key.
   KeyInterval shard_key_range(std::size_t s) const { return key_ranges_[s]; }
+  /// The shard whose key range holds `key`, a key inside the universe.
+  std::size_t shard_of_key(index_t key) const;
 
   /// Base-view row of shard s's first row; shard s owns rows
   /// [shard_row_begin(s), shard_row_begin(s + 1)), and

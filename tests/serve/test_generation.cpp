@@ -362,10 +362,12 @@ TEST(Generation, DegradedModeRoutesAroundDeadShardsForEveryFamily) {
 
 TEST(Generation, DegradedServingReadsNothingDead) {
   // A degraded generation must never read a dead shard's keys, points or
-  // ids, nor the file's block directory.  Corrupt one shard's keys (unsorted,
-  // then out of range) and, separately, one directory entry whose misuse
-  // would misroute lookups in live shards.  Exactly that shard dies, and
-  // every answer equals the healthy answer restricted to live shards.
+  // ids, nor the file's block directory.  Corrupt one shard's keys (unsorted;
+  // out of range mid-shard and at a block's last row; rewritten into the
+  // previous shard at a shard's first row) and, separately, one directory
+  // entry whose misuse would misroute lookups in live shards.  Exactly that
+  // shard dies, and every answer equals the healthy answer restricted to
+  // live shards.
   // Hilbert's subtree nodes align with its 4 shards.  Peano's (powers of 9)
   // straddle its 32 small shards, so kNN leaf scans that reach a dead
   // shard's rows must step over them.
@@ -406,7 +408,20 @@ TEST(Generation, DegradedServingReadsNothingDead) {
     };
     const std::string path = temp_path("read_nothing_dead_" + family);
 
+    // The last row of block B/2, the directory entry lower_bound probes
+    // first, and its shard.
+    const std::uint64_t mid_block = healthy.block_count() / 2;
+    const std::uint64_t mid_block_end =
+        std::min<std::uint64_t>((mid_block + 1) * build.block_rows,
+                                healthy.row_count()) -
+        1;
+    std::size_t mid_block_shard = 0;
+    while (reference.shard_row_begin(mid_block_shard + 1) <= mid_block_end) {
+      ++mid_block_shard;
+    }
+
     for (const std::string corruption : {"unsorted", "out_of_range",
+                                         "block_end", "shard_edge",
                                          "directory"}) {
       const std::string where = family + " " + corruption;
       write_index_file(path, index, descriptor);
@@ -420,16 +435,23 @@ TEST(Generation, DegradedServingReadsNothingDead) {
       } else if (corruption == "out_of_range") {
         dead = 2;
         write_column_word(path, 0, middle_row(dead), 0);
+      } else if (corruption == "block_end") {
+        // A key search over a directory rebuilt from the keys would be sent
+        // past its block by this key, moving rows between shards.
+        dead = mid_block_shard;
+        write_column_word(path, 0, mid_block_end, 0);
+      } else if (corruption == "shard_edge") {
+        // Shard 2's first key, rewritten to shard 1's last: still sorted and
+        // inside shard 1's range, so a key search would hand the row to
+        // shard 1 and leave shard 2 alive without it.
+        dead = 2;
+        write_column_word(path, 0, reference.shard_row_begin(dead),
+                          reference.shard_key_range(1).hi);
       } else {
-        // The entry lower_bound probes first: pointing it at key 0 would send
-        // every directory search for a lower key past its block.
-        const std::uint64_t block = healthy.block_count() / 2;
-        const std::uint64_t last_row =
-            std::min<std::uint64_t>((block + 1) * build.block_rows,
-                                    healthy.row_count()) -
-            1;
-        while (reference.shard_row_begin(dead + 1) <= last_row) ++dead;
-        write_column_word(path, 3, block, 0);
+        // Pointing the entry at key 0 would send every directory search for
+        // a lower key past its block.
+        dead = mid_block_shard;
+        write_column_word(path, 3, mid_block, 0);
       }
 
       EXPECT_THROW((void)IndexGeneration::open(path, shard_bits, 0, false),

@@ -118,14 +118,19 @@ TEST(IndexServer, AnswersMatchDirectEnginesUnderConcurrentClients) {
     EXPECT_EQ(health.executed, f.trace.size());
     EXPECT_GE(health.batches_dispatched, 1u);
     EXPECT_LE(health.batches_dispatched, f.trace.size());
-    // The per-kind split lives in the registry.
-    const MetricsSnapshot after = MetricsRegistry::global().snapshot();
-    EXPECT_EQ(after.value("serve.range_queries") -
-                  before.value("serve.range_queries"),
-              static_cast<std::int64_t>(range_slots.size()));
-    EXPECT_EQ(after.value("serve.knn_queries") -
-                  before.value("serve.knn_queries"),
-              static_cast<std::int64_t>(knn_slots.size()));
+    // The per-kind split lives in the registry, which records only while
+    // observability is compiled in and switched on.
+#ifndef SFC_OBS_DISABLED
+    if (obs_enabled()) {
+      const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+      EXPECT_EQ(after.value("serve.range_queries") -
+                    before.value("serve.range_queries"),
+                static_cast<std::int64_t>(range_slots.size()));
+      EXPECT_EQ(after.value("serve.knn_queries") -
+                    before.value("serve.knn_queries"),
+                static_cast<std::int64_t>(knn_slots.size()));
+    }
+#endif
   }
 }
 
