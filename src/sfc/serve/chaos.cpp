@@ -101,20 +101,16 @@ class EpochOracle {
 
 struct ClientTally {
   std::uint64_t queries = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t retries = 0;
   std::uint64_t wrong_answers = 0;
-  std::vector<double> latencies_us;
+  ReplayTally outcomes;
   std::exception_ptr error;
 };
 
 /// One client: loops its strided trace slice until `deadline`, replaying
 /// through the served (epoch-stamped) entry points with the replay_trace
-/// retry policy, checking every accepted answer against the oracle.
+/// client step, checking every accepted answer against the oracle.
 void chaos_client(IndexServer& server, const QueryTrace& trace,
-                  const ChaosOptions& options, const RefAnswers& ref_a,
+                  const ReplayOptions& replay, const RefAnswers& ref_a,
                   const RefAnswers& ref_b, EpochOracle& oracle,
                   std::uint32_t client, std::uint32_t clients,
                   Clock::time_point deadline, ClientTally& tally) {
@@ -124,49 +120,23 @@ void chaos_client(IndexServer& server, const QueryTrace& trace,
         if (Clock::now() >= deadline) break;
         const TraceQuery& query = trace.queries[q];
         ++tally.queries;
-        const auto begin = Clock::now();
-        enum class Outcome : std::uint8_t { kAccepted, kRejected, kTimedOut };
-        Outcome outcome = Outcome::kAccepted;
-        for (std::uint32_t attempt = 0;; ++attempt) {
-          try {
-            int match = 0;
-            std::uint64_t epoch = 0;
-            if (query.kind == TraceQuery::Kind::kRange) {
-              const ServedRange served = server.range_query_served(query.box());
-              epoch = served.epoch;
-              if (served.result.ids == ref_a.range_ids[q]) match |= kDatasetA;
-              if (served.result.ids == ref_b.range_ids[q]) match |= kDatasetB;
-            } else {
-              const ServedKnn served =
-                  server.knn_query_served(query.point, query.k);
-              epoch = served.epoch;
-              if (served.result.neighbors == ref_a.knn[q]) match |= kDatasetA;
-              if (served.result.neighbors == ref_b.knn[q]) match |= kDatasetB;
-            }
-            if (!oracle.check(epoch, match)) ++tally.wrong_answers;
-            outcome = Outcome::kAccepted;
-            tally.latencies_us.push_back(
-                std::chrono::duration<double, std::micro>(Clock::now() - begin)
-                    .count());
-            break;
-          } catch (const ServerOverloadError&) {
-            outcome = Outcome::kRejected;
-          } catch (const ServerTimeoutError&) {
-            outcome = Outcome::kTimedOut;
+        tally.outcomes.run(replay, [&] {
+          int match = 0;
+          std::uint64_t epoch = 0;
+          if (query.kind == TraceQuery::Kind::kRange) {
+            const ServedRange served = server.range_query_served(query.box());
+            epoch = served.epoch;
+            if (served.result.ids == ref_a.range_ids[q]) match |= kDatasetA;
+            if (served.result.ids == ref_b.range_ids[q]) match |= kDatasetB;
+          } else {
+            const ServedKnn served =
+                server.knn_query_served(query.point, query.k);
+            epoch = served.epoch;
+            if (served.result.neighbors == ref_a.knn[q]) match |= kDatasetA;
+            if (served.result.neighbors == ref_b.knn[q]) match |= kDatasetB;
           }
-          if (attempt >= options.max_retries) break;
-          ++tally.retries;
-          const std::uint64_t backoff_us = std::min<std::uint64_t>(
-              options.backoff_max_us,
-              static_cast<std::uint64_t>(options.backoff_base_us)
-                  << std::min<std::uint32_t>(attempt, 20));
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-        }
-        switch (outcome) {
-          case Outcome::kAccepted: ++tally.accepted; break;
-          case Outcome::kRejected: ++tally.rejected; break;
-          case Outcome::kTimedOut: ++tally.timed_out; break;
-        }
+          if (!oracle.check(epoch, match)) ++tally.wrong_answers;
+        });
       }
     }
   } catch (...) {
@@ -181,14 +151,15 @@ std::vector<double> run_phase(IndexServer& server, const QueryTrace& trace,
                               const RefAnswers& ref_a, const RefAnswers& ref_b,
                               EpochOracle& oracle, Clock::time_point deadline,
                               ChaosReport& report) {
-  const std::uint32_t clients = std::max<std::uint32_t>(1, options.clients);
+  const std::uint32_t clients =
+      std::max<std::uint32_t>(1, options.replay.clients);
   std::vector<ClientTally> tallies(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      chaos_client(server, trace, options, ref_a, ref_b, oracle, c, clients,
-                   deadline, tallies[c]);
+      chaos_client(server, trace, options.replay, ref_a, ref_b, oracle, c,
+                   clients, deadline, tallies[c]);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -196,13 +167,13 @@ std::vector<double> run_phase(IndexServer& server, const QueryTrace& trace,
   for (ClientTally& tally : tallies) {
     if (tally.error) std::rethrow_exception(tally.error);
     report.queries += tally.queries;
-    report.accepted += tally.accepted;
-    report.rejected += tally.rejected;
-    report.timed_out += tally.timed_out;
-    report.retries += tally.retries;
+    report.accepted += tally.outcomes.accepted;
+    report.rejected += tally.outcomes.rejected;
+    report.timed_out += tally.outcomes.timed_out;
+    report.retries += tally.outcomes.retries;
     report.wrong_answers += tally.wrong_answers;
-    latencies.insert(latencies.end(), tally.latencies_us.begin(),
-                     tally.latencies_us.end());
+    latencies.insert(latencies.end(), tally.outcomes.latencies_us.begin(),
+                     tally.outcomes.latencies_us.end());
   }
   return latencies;
 }

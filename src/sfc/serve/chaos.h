@@ -42,7 +42,6 @@ struct ChaosOptions {
   std::string path;
   /// Query trace to replay; empty = a generated mixed trace of 512 queries.
   QueryTrace trace;
-  std::uint32_t clients = 8;
   /// Soak length in seconds (clients loop the trace until the clock runs
   /// out).  The no-reload baseline phase runs first for ~1/5 of this
   /// (minimum 0.5 s).
@@ -56,11 +55,12 @@ struct ChaosOptions {
   /// 0 disables crash cycles.  Forcibly disabled under ThreadSanitizer
   /// (fork from a threaded process is outside TSAN's supported model).
   std::uint32_t crash_every = 0;
-  /// Client retry policy on shed load (ServerOverloadError /
-  /// ServerTimeoutError), as in replay_trace.
-  std::uint32_t max_retries = 3;
-  std::uint32_t backoff_base_us = 200;
-  std::uint32_t backoff_max_us = 20000;
+  /// Concurrent clients and their retry policy on shed load
+  /// (ServerOverloadError / ServerTimeoutError): the replay_trace client step.
+  ReplayOptions replay{.clients = 8,
+                       .max_retries = 3,
+                       .backoff_base_us = 200,
+                       .backoff_max_us = 20000};
   /// Server configuration (shard_bits, batching, queue bound, deadlines).
   ServerOptions server;
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <exception>
 #include <map>
 #include <utility>
@@ -60,18 +58,16 @@ ServeMetrics& serve_metrics() {
 }  // namespace
 
 IndexServer::IndexServer(IndexColumnsView view, const ServerOptions& options)
-    : generations_(IndexGeneration::wrap(view, options.shard_bits, 0)),
-      options_(options) {
-  if (options_.max_batch < 1) {
-    throw Error("IndexServer: max_batch must be >= 1");
-  }
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-}
+    : IndexServer(IndexGeneration::wrap(view, options.shard_bits, 0), options) {}
 
 IndexServer::IndexServer(const std::string& path, const ServerOptions& options)
-    : generations_(IndexGeneration::open(path, options.shard_bits, 0,
-                                         options.allow_degraded)),
-      options_(options) {
+    : IndexServer(IndexGeneration::open(path, options.shard_bits, 0,
+                                        options.allow_degraded),
+                  options) {}
+
+IndexServer::IndexServer(std::shared_ptr<const IndexGeneration> initial,
+                         const ServerOptions& options)
+    : generations_(std::move(initial)), options_(options) {
   if (options_.max_batch < 1) {
     throw Error("IndexServer: max_batch must be >= 1");
   }
@@ -120,8 +116,7 @@ void IndexServer::stop() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-void IndexServer::submit(Pending&& pending,
-                         std::optional<std::uint64_t> deadline_us) {
+void IndexServer::submit(Pending&& pending) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -135,12 +130,7 @@ void IndexServer::submit(Pending&& pending,
       throw ServerOverloadError(pending_.size(), options_.max_queue);
     }
     pending.enqueued = Clock::now();
-    pending.deadline_us = deadline_us.value_or(options_.deadline_us);
     pending.trace_id = next_trace_id();
-    if (pending.deadline_us > 0) {
-      pending.deadline =
-          pending.enqueued + std::chrono::microseconds(pending.deadline_us);
-    }
     (pending.kind == Pending::Kind::kRange ? serve_metrics().range_queries
                                            : serve_metrics().knn_queries)
         .add(1);
@@ -152,31 +142,25 @@ void IndexServer::submit(Pending&& pending,
   arrivals_.notify_one();
 }
 
-RangeQueryResult IndexServer::range_query(
-    const Box& box, std::optional<std::uint64_t> deadline_us) {
-  return range_query_served(box, deadline_us).result;
+RangeQueryResult IndexServer::range_query(const Box& box) {
+  return range_query_served(box).result;
 }
 
-KnnQueryResult IndexServer::knn_query(
-    const Point& query, std::uint32_t k,
-    std::optional<std::uint64_t> deadline_us) {
-  return knn_query_served(query, k, deadline_us).result;
+KnnQueryResult IndexServer::knn_query(const Point& query, std::uint32_t k) {
+  return knn_query_served(query, k).result;
 }
 
-ServedRange IndexServer::range_query_served(
-    const Box& box, std::optional<std::uint64_t> deadline_us) {
+ServedRange IndexServer::range_query_served(const Box& box) {
   Pending pending(box);
   std::future<ServedRange> future = pending.range_promise.get_future();
-  submit(std::move(pending), deadline_us);
+  submit(std::move(pending));
   return future.get();
 }
 
-ServedKnn IndexServer::knn_query_served(
-    const Point& query, std::uint32_t k,
-    std::optional<std::uint64_t> deadline_us) {
+ServedKnn IndexServer::knn_query_served(const Point& query, std::uint32_t k) {
   Pending pending(query, k);
   std::future<ServedKnn> future = pending.knn_promise.get_future();
-  submit(std::move(pending), deadline_us);
+  submit(std::move(pending));
   return future.get();
 }
 
@@ -200,6 +184,10 @@ ServerHealth IndexServer::health() const {
 
 void IndexServer::dispatcher_loop() {
   const auto window = std::chrono::microseconds(options_.batch_window_us);
+  const auto deadline = std::chrono::microseconds(options_.deadline_us);
+  const auto micros = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
   std::vector<Pending> batch;
   while (true) {
     {
@@ -208,16 +196,16 @@ void IndexServer::dispatcher_loop() {
       if (pending_.empty()) return;  // stopping with nothing queued
       // The window opens when the dispatcher first sees a non-empty queue —
       // the oldest query waits at most one window before its batch executes.
-      // Queries with deadlines pull the close earlier: waiting the full
-      // window past a queued deadline would expire a query the server could
-      // still have answered.
-      const auto window_close = Clock::now() + window;
-      while (!stopping_ && pending_.size() < options_.max_batch) {
-        auto close_at = window_close;
-        for (const Pending& p : pending_) {
-          if (p.deadline_us > 0 && p.deadline < close_at) close_at = p.deadline;
-        }
-        if (Clock::now() >= close_at) break;
+      // A deadline pulls the close earlier: waiting the full window past a
+      // queued deadline would expire a query the server could still have
+      // answered.  Admission is FIFO under one deadline, so the front query
+      // (which nothing removes while we wait) holds the earliest one.
+      auto close_at = Clock::now() + window;
+      if (options_.deadline_us > 0) {
+        close_at = std::min(close_at, pending_.front().enqueued + deadline);
+      }
+      while (!stopping_ && pending_.size() < options_.max_batch &&
+             Clock::now() < close_at) {
         arrivals_.wait_until(lock, close_at);
       }
       batch.swap(pending_);
@@ -234,39 +222,26 @@ void IndexServer::dispatcher_loop() {
     // is only ever observed at a batch boundary.
     const std::shared_ptr<const IndexGeneration> gen = generations_.active();
     execute_batch(batch, *gen, formed);
-    {
-      // Per-query latency split at the batch boundary: queue wait (enqueue
-      // -> batch formation) and execute (formation -> answer delivered),
-      // recorded with the executed count after the futures are fulfilled.
-      const auto done = Clock::now();
-      const double execute_us =
-          std::chrono::duration<double, std::micro>(done - formed).count();
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const Pending& p : batch) {
-        health_.queue_wait_latency.record_us(
-            std::chrono::duration<double, std::micro>(formed - p.enqueued)
-                .count());
-        health_.execute_latency.record_us(execute_us);
-        ++health_.executed;
-      }
-    }
-    serve_metrics().executed.add(batch.size());
-    if (obs_enabled()) {
-      // One queue-wait span per query and one execute-side summary histogram
-      // pair: the engine-fact spans were already recorded by execute_batch.
-      const auto done = Clock::now();
-      const double execute_us =
-          std::chrono::duration<double, std::micro>(done - formed).count();
-      const double formed_us = trace_time_us(formed);
-      const std::uint32_t tid = trace_thread_id();
-      std::vector<TraceSpan> spans;
-      spans.reserve(batch.size() + 1);
-      for (const Pending& p : batch) {
-        const double wait_us =
-            std::chrono::duration<double, std::micro>(formed - p.enqueued)
-                .count();
-        serve_metrics().queue_wait_us.record_us(wait_us);
-        serve_metrics().execute_us.record_us(execute_us);
+
+    // One accounting pass after the futures are fulfilled, on one clock
+    // read: each query's queue wait (enqueue -> batch formation) and execute
+    // time (formation -> answer delivered) feed ServerHealth, the registry
+    // histograms and the queue-wait spans with the same values.  The
+    // engine-fact spans were already recorded by execute_batch.
+    const double execute_us = micros(Clock::now() - formed);
+    const bool traced = obs_enabled();
+    LatencyHistogram queue_wait_latency;
+    LatencyHistogram execute_latency;
+    std::vector<TraceSpan> spans;
+    if (traced) spans.reserve(batch.size() + 1);
+    const std::uint32_t tid = trace_thread_id();
+    for (const Pending& p : batch) {
+      const double wait_us = micros(formed - p.enqueued);
+      queue_wait_latency.record_us(wait_us);
+      execute_latency.record_us(execute_us);
+      serve_metrics().queue_wait_us.record_us(wait_us);
+      serve_metrics().execute_us.record_us(execute_us);
+      if (traced) {
         TraceSpan span;
         span.trace_id = p.trace_id;
         span.name = "queue_wait";
@@ -274,13 +249,22 @@ void IndexServer::dispatcher_loop() {
         span.start_us = trace_time_us(p.enqueued);
         span.dur_us = wait_us;
         span.tid = tid;
-        span.add_arg("deadline_us", p.deadline_us);
+        span.add_arg("deadline_us", options_.deadline_us);
         spans.push_back(span);
       }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      health_.queue_wait_latency.merge(queue_wait_latency);
+      health_.execute_latency.merge(execute_latency);
+      health_.executed += batch.size();
+    }
+    serve_metrics().executed.add(batch.size());
+    if (traced) {
       TraceSpan span;
       span.name = "batch";
       span.category = "serve";
-      span.start_us = formed_us;
+      span.start_us = trace_time_us(formed);
       span.dur_us = execute_us;
       span.tid = tid;
       span.add_arg("rows", batch.size());
@@ -289,74 +273,42 @@ void IndexServer::dispatcher_loop() {
       // One ring-lock acquisition per batch, not per query.
       TraceRing::global().record_all(spans);
     }
-    if (options_.metrics_log_every_batches > 0) {
-      bool log_now = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        log_now = health_.batches_dispatched %
-                      options_.metrics_log_every_batches == 0;
-      }
-      if (log_now) log_metrics_line();
-    }
     batch.clear();
   }
 }
 
-void IndexServer::log_metrics_line() {
-  const ServerHealth snapshot = health();
-  std::fprintf(
-      stderr,
-      "sfc-serve metrics: batches=%llu accepted=%llu executed=%llu "
-      "timed_out=%llu rejected=%llu queue_depth=%llu queue_wait_p99_us=%.0f "
-      "execute_p99_us=%.0f epoch=%llu reloads=%llu\n",
-      static_cast<unsigned long long>(snapshot.batches_dispatched),
-      static_cast<unsigned long long>(snapshot.accepted),
-      static_cast<unsigned long long>(snapshot.executed),
-      static_cast<unsigned long long>(snapshot.timed_out),
-      static_cast<unsigned long long>(snapshot.rejected_overload +
-                                      snapshot.rejected_stopped),
-      static_cast<unsigned long long>(snapshot.queue_depth),
-      snapshot.queue_wait_latency.percentile_us(0.99),
-      snapshot.execute_latency.percentile_us(0.99),
-      static_cast<unsigned long long>(snapshot.epoch),
-      static_cast<unsigned long long>(snapshot.reloads));
-}
-
 void IndexServer::expire_batch(std::vector<Pending>& batch,
                                Clock::time_point now) {
-  const auto is_expired = [now](const Pending& p) {
-    return p.deadline_us > 0 && now >= p.deadline;
-  };
+  if (options_.deadline_us == 0) return;
+  const auto deadline = std::chrono::microseconds(options_.deadline_us);
+  // Entries are in admission order under one deadline, so the expired ones
+  // are exactly a prefix.
+  const auto live = std::find_if(
+      batch.begin(), batch.end(),
+      [&](const Pending& p) { return now < p.enqueued + deadline; });
+  const auto expired = static_cast<std::uint64_t>(live - batch.begin());
+  if (expired == 0) return;
   // Bump the counter BEFORE failing any promise: a client that observes
   // ServerTimeoutError is guaranteed to find itself in health().timed_out.
-  const auto expired = static_cast<std::uint64_t>(
-      std::count_if(batch.begin(), batch.end(), is_expired));
-  if (expired > 0) {
+  {
     std::lock_guard<std::mutex> lock(mutex_);
     health_.timed_out += expired;
     serve_metrics().timed_out.add(expired);
   }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Pending& p = batch[i];
-    if (is_expired(p)) {
-      const auto waited = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                                p.enqueued)
-              .count());
-      const auto error = std::make_exception_ptr(
-          ServerTimeoutError(p.deadline_us, waited));
-      if (p.kind == Pending::Kind::kRange) {
-        p.range_promise.set_exception(error);
-      } else {
-        p.knn_promise.set_exception(error);
-      }
-      continue;
+  for (auto it = batch.begin(); it != live; ++it) {
+    const auto waited = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(now -
+                                                              it->enqueued)
+            .count());
+    const auto error = std::make_exception_ptr(
+        ServerTimeoutError(options_.deadline_us, waited));
+    if (it->kind == Pending::Kind::kRange) {
+      it->range_promise.set_exception(error);
+    } else {
+      it->knn_promise.set_exception(error);
     }
-    if (kept != i) batch[kept] = std::move(batch[i]);
-    ++kept;
   }
-  batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(kept), batch.end());
+  batch.erase(batch.begin(), live);
 }
 
 void IndexServer::execute_batch(std::vector<Pending>& batch,
@@ -366,7 +318,6 @@ void IndexServer::execute_batch(std::vector<Pending>& batch,
   // k (the executor answers a whole sub-batch with one k), then execute each
   // on the pinned generation's base view, excluding its dead key ranges.
   MultiQueryOptions exec;
-  exec.pool = options_.pool;
   exec.grain = options_.grain;
   const IndexColumnsView& view = gen.sharded().base();
   const std::span<const KeyInterval> dead = gen.dead_key_ranges();
@@ -495,6 +446,37 @@ void IndexServer::execute_batch(std::vector<Pending>& batch,
   TraceRing::global().record_all(engine_spans);
 }
 
+void ReplayTally::run(const ReplayOptions& options,
+                      const std::function<void()>& call) {
+  using clock = std::chrono::steady_clock;
+  const auto begin = clock::now();
+  // Retry-with-exponential-backoff on shed load; anything else is a real
+  // error and propagates.  A shed query is tallied once, by its last error.
+  std::uint64_t* shed = nullptr;
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    try {
+      call();
+      latencies_us.push_back(
+          std::chrono::duration<double, std::micro>(clock::now() - begin)
+              .count());
+      ++accepted;
+      return;
+    } catch (const ServerOverloadError&) {
+      shed = &rejected;
+    } catch (const ServerTimeoutError&) {
+      shed = &timed_out;
+    }
+    if (attempt >= options.max_retries) break;
+    ++retries;
+    const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
+    const std::uint64_t backoff_us = std::min<std::uint64_t>(
+        options.backoff_max_us,
+        static_cast<std::uint64_t>(options.backoff_base_us) << shift);
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+  }
+  ++*shed;
+}
+
 ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,
                           const ReplayOptions& options) {
   const std::uint32_t clients = std::max<std::uint32_t>(1, options.clients);
@@ -506,11 +488,7 @@ ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,
   if (trace.empty()) return report;
 
   struct ClientTally {
-    std::vector<double> latencies_us;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t retries = 0;
+    ReplayTally outcomes;
     std::uint64_t rows_returned = 0;
     std::uint64_t neighbors_returned = 0;
     std::exception_ptr error;
@@ -529,48 +507,14 @@ ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,
         // client mixes range and kNN work the way the trace does.
         for (std::size_t q = c; q < trace.size(); q += clients) {
           const TraceQuery& query = trace.queries[q];
-          const auto begin = clock::now();
-          // Retry-with-exponential-backoff on shed load; anything else is a
-          // real error and aborts the replay.  Every query resolves to
-          // exactly one outcome, assigned exactly once at loop exit — a
-          // query that is shed, retried, and finally times out tallies as
-          // one timed_out, never as one of each, so the identity
-          // accepted + rejected + timed_out == queries holds by
-          // construction.
-          enum class Outcome : std::uint8_t { kAccepted, kRejected, kTimedOut };
-          Outcome outcome = Outcome::kAccepted;
-          for (std::uint32_t attempt = 0;; ++attempt) {
-            try {
-              if (query.kind == TraceQuery::Kind::kRange) {
-                tally.rows_returned += server.range_query(query.box()).ids.size();
-              } else {
-                tally.neighbors_returned +=
-                    server.knn_query(query.point, query.k).neighbors.size();
-              }
-              outcome = Outcome::kAccepted;
-              const auto end = clock::now();
-              tally.latencies_us.push_back(
-                  std::chrono::duration<double, std::micro>(end - begin)
-                      .count());
-              break;
-            } catch (const ServerOverloadError&) {
-              outcome = Outcome::kRejected;
-            } catch (const ServerTimeoutError&) {
-              outcome = Outcome::kTimedOut;
+          tally.outcomes.run(options, [&] {
+            if (query.kind == TraceQuery::Kind::kRange) {
+              tally.rows_returned += server.range_query(query.box()).ids.size();
+            } else {
+              tally.neighbors_returned +=
+                  server.knn_query(query.point, query.k).neighbors.size();
             }
-            if (attempt >= options.max_retries) break;
-            ++tally.retries;
-            const std::uint64_t backoff_us = std::min<std::uint64_t>(
-                options.backoff_max_us,
-                static_cast<std::uint64_t>(options.backoff_base_us)
-                    << std::min<std::uint32_t>(attempt, 20));
-            std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          }
-          switch (outcome) {
-            case Outcome::kAccepted: ++tally.accepted; break;
-            case Outcome::kRejected: ++tally.rejected; break;
-            case Outcome::kTimedOut: ++tally.timed_out; break;
-          }
+          });
         }
       } catch (...) {
         tally.error = std::current_exception();
@@ -584,14 +528,14 @@ ReplayReport replay_trace(IndexServer& server, const QueryTrace& trace,
   latencies.reserve(trace.size());
   for (ClientTally& tally : tallies) {
     if (tally.error) std::rethrow_exception(tally.error);
-    report.accepted += tally.accepted;
-    report.rejected += tally.rejected;
-    report.timed_out += tally.timed_out;
-    report.retries += tally.retries;
+    report.accepted += tally.outcomes.accepted;
+    report.rejected += tally.outcomes.rejected;
+    report.timed_out += tally.outcomes.timed_out;
+    report.retries += tally.outcomes.retries;
     report.rows_returned += tally.rows_returned;
     report.neighbors_returned += tally.neighbors_returned;
-    latencies.insert(latencies.end(), tally.latencies_us.begin(),
-                     tally.latencies_us.end());
+    latencies.insert(latencies.end(), tally.outcomes.latencies_us.begin(),
+                     tally.outcomes.latencies_us.end());
   }
 
   report.wall_seconds =

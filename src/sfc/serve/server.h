@@ -13,9 +13,10 @@
 //
 // The queue is a real admission controller, not a buffer: it is bounded
 // (`max_queue`, ServerOverloadError beyond it — backpressure instead of
-// unbounded latency), queries carry deadlines (`deadline_us`; a query whose
-// deadline passes while queued fails fast with ServerTimeoutError at batch
-// formation instead of occupying a slot), submissions after stop() fail with
+// unbounded latency), every query carries the one server-wide deadline
+// (`deadline_us`, with no per-query override; a query whose deadline passes
+// while queued fails fast with ServerTimeoutError at batch formation instead
+// of occupying a slot), submissions after stop() fail with
 // ServerStoppedError, and stop() drains: every query admitted before stop()
 // is answered before stop() returns.  ServerHealth exposes the counters and
 // the queue-wait / execute latency histograms an operator would watch.
@@ -39,10 +40,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,8 +60,6 @@ struct ServerOptions {
   /// log2 of the shard count handed to ShardedIndex (clamped to key width):
   /// how finely degraded mode localizes corruption.
   int shard_bits = 0;
-  /// Executor pool for batch execution; nullptr = ThreadPool::shared().
-  ThreadPool* pool = nullptr;
   /// Executor chunk grain (queries per engine chunk).
   std::uint64_t grain = 16;
   /// Dispatch as soon as this many queries are queued.
@@ -71,20 +70,19 @@ struct ServerOptions {
   /// holds this many queries fails fast with ServerOverloadError
   /// (backpressure).  0 = unbounded (the pre-robustness behavior).
   std::uint32_t max_queue = 1024;
-  /// Default per-query deadline in microseconds (0 = none).  A query whose
-  /// deadline passes while it is still queued is failed with
-  /// ServerTimeoutError at batch formation.  Deadlines shorter than
-  /// batch_window_us cannot be met by a batching server — the batch closes
-  /// early at the earliest queued deadline, but the query has already aged
-  /// out by then; give deadlines headroom above the window.
+  /// Query deadline in microseconds after admission (0 = none), the same for
+  /// every query: there is no per-query override.  A query whose deadline
+  /// passes while it is still queued is failed with ServerTimeoutError at
+  /// batch formation.  Admission is FIFO, so the front query always holds the
+  /// earliest deadline and the batch closes no later than it.  Deadlines
+  /// shorter than batch_window_us cannot be met by a batching server — the
+  /// batch closes early at the front query's deadline, but that query has
+  /// already aged out by then; give deadlines headroom above the window.
   std::uint64_t deadline_us = 0;
   /// Open files degraded when verification can localize corruption to shards
   /// (dead shards + PartialResultError) instead of failing the open/reload.
   /// Applies to the path constructor and every reload().
   bool allow_degraded = false;
-  /// Every N dispatched batches the dispatcher logs a compact one-line
-  /// metrics snapshot (counters + latency p99s) to stderr.  0 = off.
-  std::uint32_t metrics_log_every_batches = 0;
 };
 
 /// Operator-facing snapshot of the admission controller (taken atomically
@@ -110,7 +108,9 @@ struct ServerHealth {
   /// visible: queue_wait (enqueue -> batch formation) grows when batches form
   /// too slowly or the queue runs deep; execute (batch formation -> answer
   /// delivered) grows when the engines are the bottleneck.  Both record every
-  /// executed query; end-to-end latency is their sum per query.
+  /// executed query; end-to-end latency is their sum per query.  The
+  /// registry's serve.queue_wait_us / serve.execute_us histograms record the
+  /// same per-query values (one clock read per batch feeds both).
   LatencyHistogram queue_wait_latency;
   LatencyHistogram execute_latency;
   /// Generation surface: the active epoch, lifetime reload counters, and the
@@ -157,27 +157,19 @@ class IndexServer {
   /// Blocking point queries: enqueue, wait for the dispatcher's batch, return
   /// the engine's answer.  Engine errors (e.g. out-of-universe arguments)
   /// rethrow on the calling thread.  Admission failures are typed: queue full
-  /// = ServerOverloadError, deadline expired in queue = ServerTimeoutError,
-  /// submitted after stop() = ServerStoppedError; in a degraded generation a
-  /// query overlapping a dead shard throws PartialResultError (carrying the
-  /// live-shard partial answer).  `deadline_us` overrides the server's
-  /// default deadline for this query (0 = no deadline; nullopt = the
-  /// server's default).
-  RangeQueryResult range_query(
-      const Box& box, std::optional<std::uint64_t> deadline_us = std::nullopt);
-  KnnQueryResult knn_query(
-      const Point& query, std::uint32_t k,
-      std::optional<std::uint64_t> deadline_us = std::nullopt);
+  /// = ServerOverloadError, options().deadline_us expired in queue =
+  /// ServerTimeoutError, submitted after stop() = ServerStoppedError; in a
+  /// degraded generation a query overlapping a dead shard throws
+  /// PartialResultError (carrying the live-shard partial answer).
+  RangeQueryResult range_query(const Box& box);
+  KnnQueryResult knn_query(const Point& query, std::uint32_t k);
 
   /// Same queries, with the answer stamped with the epoch of the generation
   /// that served it — the primitive a correctness checker needs to compare
   /// an answer against the dataset it was actually served from when reloads
   /// are racing the queries.
-  ServedRange range_query_served(
-      const Box& box, std::optional<std::uint64_t> deadline_us = std::nullopt);
-  ServedKnn knn_query_served(
-      const Point& query, std::uint32_t k,
-      std::optional<std::uint64_t> deadline_us = std::nullopt);
+  ServedRange range_query_served(const Box& box);
+  ServedKnn knn_query_served(const Point& query, std::uint32_t k);
 
   /// Validates `path` fully, then atomically swaps it in as the new active
   /// generation at the next batch boundary; returns the new epoch.  Batches
@@ -209,9 +201,8 @@ class IndexServer {
     Box box;
     Point point;
     std::uint32_t k = 0;
+    /// Admission time; its deadline is enqueued + options_.deadline_us.
     Clock::time_point enqueued;
-    Clock::time_point deadline;  ///< meaningful iff deadline_us > 0
-    std::uint64_t deadline_us = 0;
     /// Span-trace correlation id, minted at admission (sfc/obs/span_trace).
     std::uint64_t trace_id = 0;
     std::promise<ServedRange> range_promise;
@@ -223,21 +214,24 @@ class IndexServer {
         : kind(Kind::kKnn), box(Point::zero(1), Point::zero(1)), point(p), k(kk) {}
   };
 
-  /// The one submission path: overload/stopped checks, deadline stamping,
+  /// Both public constructors: validates options and starts the dispatcher.
+  IndexServer(std::shared_ptr<const IndexGeneration> initial,
+              const ServerOptions& options);
+
+  /// The one submission path: overload/stopped checks, admission stamping,
   /// enqueue, and a dispatcher wake-up.  Callers take the promise's future
   /// first; it resolves once the dispatcher answers the query.
-  void submit(Pending&& pending, std::optional<std::uint64_t> deadline_us);
+  void submit(Pending&& pending);
 
   void dispatcher_loop();
-  /// Fails batch entries whose deadline has passed; keeps the live ones.
+  /// Fails the batch's expired prefix (FIFO admission under one deadline
+  /// puts every expired entry in front of every live one); keeps the rest.
   void expire_batch(std::vector<Pending>& batch, Clock::time_point now);
   /// Executes `batch` against `gen` (the generation the dispatcher pinned at
   /// batch formation) and fulfills every promise.  `formed` is the batch
   /// formation time, the start of every execute-side trace span.
   void execute_batch(std::vector<Pending>& batch, const IndexGeneration& gen,
                      Clock::time_point formed);
-  /// One-line metrics snapshot to stderr (metrics_log_every_batches).
-  void log_metrics_line();
 
   GenerationManager generations_;
   ServerOptions options_;
@@ -271,6 +265,24 @@ struct ReplayOptions {
   std::uint32_t backoff_base_us = 200;
   /// Backoff ceiling.
   std::uint32_t backoff_max_us = 50000;
+};
+
+/// One replay client's outcomes, and the per-query client step that
+/// replay_trace and the chaos soak (sfc/serve/chaos) share.
+struct ReplayTally {
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t timed_out = 0;
+  std::uint64_t retries = 0;
+  /// Accepted queries only, end to end from first attempt to answer.
+  std::vector<double> latencies_us;
+
+  /// Runs `call` (one blocking server call) under the ReplayOptions
+  /// retry/backoff policy and tallies the query's one outcome.  A query that
+  /// is shed, retried, and finally times out tallies as one timed_out, never
+  /// as one of each, so accepted + rejected + timed_out == queries holds by
+  /// construction.  Errors other than shed load propagate.
+  void run(const ReplayOptions& options, const std::function<void()>& call);
 };
 
 struct ReplayReport {

@@ -80,11 +80,16 @@ TEST(ServeObservability, RegistryAgreesWithServerHealth) {
   const LatencyHistogram* queue_wait =
       snapshot.histogram("serve.queue_wait_us");
   ASSERT_NE(queue_wait, nullptr);
+  // Both stores record the same per-query values, so even the nanosecond
+  // sums agree exactly.
   EXPECT_EQ(queue_wait->count, health.queue_wait_latency.count);
   EXPECT_EQ(queue_wait->buckets, health.queue_wait_latency.buckets);
+  EXPECT_EQ(queue_wait->sum_ns, health.queue_wait_latency.sum_ns);
   const LatencyHistogram* execute = snapshot.histogram("serve.execute_us");
   ASSERT_NE(execute, nullptr);
   EXPECT_EQ(execute->count, health.execute_latency.count);
+  EXPECT_EQ(execute->buckets, health.execute_latency.buckets);
+  EXPECT_EQ(execute->sum_ns, health.execute_latency.sum_ns);
 
   // Engine-level facts flowed from the same run: the mixed trace has both
   // query kinds, so both engines must have counted queries and work.

@@ -19,7 +19,7 @@ TEST(Chaos, MiniSoakWithCrashCyclesIsClean) {
   options.points = 4000;
   options.seed = 5;
   options.path = ::testing::TempDir() + "/sfc_chaos_mini.sfcidx";
-  options.clients = 4;
+  options.replay.clients = 4;
   options.duration_s = 1.5;
   options.reload_every_ms = 50;
   options.crash_every = 3;  // auto-disabled under TSAN inside run_chaos
@@ -43,6 +43,37 @@ TEST(Chaos, MiniSoakWithCrashCyclesIsClean) {
   // The p99 bound is timing-sensitive; the piecewise asserts above cover
   // correctness, so give the latency factor generous CI headroom here.
   EXPECT_TRUE(report.clean(1000.0));
+}
+
+TEST(Chaos, SoakThatShedsLoadRetriesAndKeepsTheIdentity) {
+  ChaosOptions options;
+  options.descriptor.family = "hilbert";
+  options.descriptor.dim = 2;
+  options.descriptor.side = 64;
+  options.points = 4000;
+  options.seed = 9;
+  options.path = ::testing::TempDir() + "/sfc_chaos_shed.sfcidx";
+  options.replay.clients = 8;
+  options.replay.max_retries = 3;
+  options.replay.backoff_base_us = 50;
+  options.replay.backoff_max_us = 1000;
+  options.duration_s = 1.0;
+  options.reload_every_ms = 50;
+  // Two queue slots for eight clients: admission must shed, and the shared
+  // client step must retry the shed queries.
+  options.server.max_queue = 2;
+  options.server.max_batch = 2;
+  options.server.batch_window_us = 100;
+
+  const ChaosReport report = run_chaos(options);
+
+  EXPECT_EQ(report.wrong_answers, 0u);
+  EXPECT_EQ(report.torn_files, 0u);
+  EXPECT_TRUE(report.identity_ok);
+  EXPECT_EQ(report.accepted + report.rejected + report.timed_out,
+            report.queries);
+  EXPECT_GT(report.accepted, 0u);
+  EXPECT_GT(report.retries, 0u);
 }
 
 TEST(Chaos, CleanGateChecksEveryInvariant) {

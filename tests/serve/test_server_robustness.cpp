@@ -116,18 +116,21 @@ TEST(ServerRobustness, BoundedQueueShedsWithOverloadError) {
 TEST(ServerRobustness, ExpiredDeadlineFailsFastWithTimeoutError) {
   const Fixture f = make_fixture(7);
   // Window far beyond the deadline: the query expires while queued, and the
-  // dispatcher (which closes the batch at the earliest deadline) must fail
-  // it with the typed error rather than execute it late.
+  // dispatcher (which closes the batch at the front query's deadline) must
+  // fail it with the typed error rather than execute it late.
   ServerOptions options;
   options.batch_window_us = 500000;
   options.max_batch = 1024;
+  options.deadline_us = 2000;  // 2ms deadline, 500ms window
   IndexServer server(f.index.view(), options);
   try {
-    server.range_query(small_box(f), 2000);  // 2ms deadline, 500ms window
+    server.range_query(small_box(f));
     FAIL() << "expected ServerTimeoutError";
   } catch (const ServerTimeoutError& error) {
     EXPECT_EQ(error.deadline_us(), 2000u);
     EXPECT_GE(error.waited_us(), 2000u);
+    // The batch closed at the deadline, not at the end of the window.
+    EXPECT_LT(error.waited_us(), options.batch_window_us);
   }
   const ServerHealth health = server.health();
   EXPECT_EQ(health.timed_out, 1u);

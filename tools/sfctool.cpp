@@ -759,9 +759,9 @@ void write_text_file(const std::string& path, const std::string& content) {
   if (!file) throw Error("I/O error writing output file: " + path);
 }
 
-/// Shared by serve-bench and serve-chaos: dump the process-global metrics
-/// snapshot (`--metrics-out`, JSON unless the path ends in .prom) and the
-/// span ring (`--trace-out`, Chrome trace-event JSON).
+/// Shared by serve-bench, serve-chaos and stats: dump the process-global
+/// metrics snapshot (`--metrics-out`, JSON unless the path ends in .prom) and
+/// the span ring (`--trace-out`, Chrome trace-event JSON).
 void write_observability_outputs(const cli::Args& args) {
   const std::string metrics_path = args.get_string("metrics-out", "");
   if (!metrics_path.empty()) {
@@ -781,10 +781,20 @@ void write_observability_outputs(const cli::Args& args) {
   }
 }
 
-/// Google-benchmark-shaped JSON so tools/bench_trajectory.py aggregates
-/// serve replays next to the micro benches.
-void write_serve_json(const std::string& path,
-                      const std::vector<ReplayReport>& reports) {
+/// One entry of a Google-benchmark-shaped JSON file: a latency in
+/// microseconds over `iterations` queries, plus extra fields (key, JSON
+/// value) appended in order.
+struct BenchEntry {
+  std::string name;
+  std::uint64_t iterations = 0;
+  double time_us = 0.0;
+  std::vector<std::pair<const char*, std::string>> extra;
+};
+
+/// Google-benchmark-shaped JSON so tools/bench_trajectory.py aggregates the
+/// serve replays and chaos soaks next to the micro benches.
+void write_bench_json(const std::string& path,
+                      const std::vector<BenchEntry>& entries) {
   std::string out;
   out += "{\n  \"context\": {\n";
   out += "    \"date\": \"" + iso_utc_now() + "\",\n";
@@ -793,40 +803,52 @@ void write_serve_json(const std::string& path,
          std::to_string(std::thread::hardware_concurrency()) + ",\n";
   out += "    \"library_build_type\": \"release\"\n";
   out += "  },\n  \"benchmarks\": [\n";
-  bool first = true;
-  for (const ReplayReport& report : reports) {
-    for (const auto& [metric, value] :
-         {std::pair<const char*, double>{"p50", report.p50_us},
-          std::pair<const char*, double>{"p99", report.p99_us}}) {
-      if (!first) out += ",\n";
-      first = false;
-      out += "    {\n";
-      out += "      \"name\": \"serve_replay_" + std::string(metric) +
-             "/clients:" + std::to_string(report.clients) + "\",\n";
-      out += "      \"run_type\": \"iteration\",\n";
-      out += "      \"repetitions\": 1,\n";
-      out += "      \"iterations\": " + std::to_string(report.queries) + ",\n";
-      out += "      \"real_time\": " + fmt_double(value) + ",\n";
-      out += "      \"cpu_time\": " + fmt_double(value) + ",\n";
-      out += "      \"time_unit\": \"us\",\n";
-      out += "      \"items_per_second\": " + fmt_double(report.qps) + ",\n";
-      out += "      \"accepted\": " + std::to_string(report.accepted) + ",\n";
-      out += "      \"rejected\": " + std::to_string(report.rejected) + ",\n";
-      out += "      \"timed_out\": " + std::to_string(report.timed_out) + ",\n";
-      out += "      \"retries\": " + std::to_string(report.retries) + ",\n";
-      out += "      \"queue_wait_p99_us\": " +
-             fmt_double(report.queue_wait_p99_us) + ",\n";
-      out += "      \"execute_p99_us\": " + fmt_double(report.execute_p99_us) +
-             "\n";
-      out += "    }";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const BenchEntry& entry = entries[i];
+    if (i > 0) out += ",\n";
+    out += "    {\n";
+    out += "      \"name\": \"" + entry.name + "\",\n";
+    out += "      \"run_type\": \"iteration\",\n";
+    out += "      \"repetitions\": 1,\n";
+    out += "      \"iterations\": " + std::to_string(entry.iterations) + ",\n";
+    out += "      \"real_time\": " + fmt_double(entry.time_us) + ",\n";
+    out += "      \"cpu_time\": " + fmt_double(entry.time_us) + ",\n";
+    out += "      \"time_unit\": \"us\"";
+    for (const auto& [key, value] : entry.extra) {
+      out += ",\n      \"" + std::string(key) + "\": " + value;
     }
+    out += "\n    }";
   }
   out += "\n  ]\n}\n";
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) throw Error("cannot open json output file: " + path);
-  file.write(out.data(), static_cast<std::streamsize>(out.size()));
-  file.flush();
-  if (!file) throw Error("I/O error writing json output file: " + path);
+  write_text_file(path, out);
+}
+
+/// The serving flags shared by serve-bench and serve-chaos (serve_flags) ->
+/// the server and the client retry policy.  `replay` comes in with the
+/// command's defaults.  Returns false on a bad value.
+bool parse_serve_flags(const cli::Args& args, ServerOptions* server,
+                       ReplayOptions* replay) {
+  const auto shards = args.get_int("shards", 4);
+  const auto max_batch = args.get_int("max-batch", 64);
+  const auto window_us = args.get_int("window-us", 200);
+  const auto max_queue = args.get_int("max-queue", 0);      // 0 = unbounded
+  const auto deadline_us = args.get_int("deadline-us", 0);  // 0 = none
+  const auto retries = args.get_int("retries", replay->max_retries);
+  const auto backoff_us = args.get_int("backoff-us", replay->backoff_base_us);
+  if (!shards || !max_batch || !window_us || !max_queue || !deadline_us ||
+      !retries || !backoff_us || *shards < 0 || *max_batch < 1 ||
+      *window_us < 0 || *max_queue < 0 || *deadline_us < 0 || *retries < 0 ||
+      *backoff_us < 1) {
+    return false;
+  }
+  server->shard_bits = static_cast<int>(*shards);
+  server->max_batch = static_cast<std::uint32_t>(*max_batch);
+  server->batch_window_us = static_cast<std::uint32_t>(*window_us);
+  server->max_queue = static_cast<std::uint32_t>(*max_queue);
+  server->deadline_us = static_cast<std::uint64_t>(*deadline_us);
+  replay->max_retries = static_cast<std::uint32_t>(*retries);
+  replay->backoff_base_us = static_cast<std::uint32_t>(*backoff_us);
+  return true;
 }
 
 int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
@@ -835,23 +857,16 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
     return usage_command(cmd, "serve-bench requires --trace FILE");
   }
   const std::string clients_text = args.get_string("clients", "1,8,64");
-  const auto shards = args.get_int("shards", 4);
-  const auto max_batch = args.get_int("max-batch", 64);
-  const auto window_us = args.get_int("window-us", 200);
   const auto max_p99_us = args.get_int("max-p99-us", 0);  // 0 = no gate
-  const auto max_queue = args.get_int("max-queue", 0);    // 0 = unbounded
-  const auto deadline_us = args.get_int("deadline-us", 0);  // 0 = none
-  const auto retries = args.get_int("retries", 0);
-  const auto backoff_us = args.get_int("backoff-us", 200);
   // Gate: accepted-query p99 at every client level must stay within this
   // factor of the first level's p99 (0 = off).  With an overloaded client
   // list (first entry uncontended, later entries past capacity) this checks
   // that admission control sheds load instead of letting latency collapse.
   const auto overload_factor = args.get_int("overload-p99-factor", 0);
-  if (!shards || !max_batch || !window_us || !max_p99_us || !max_queue ||
-      !deadline_us || !retries || !backoff_us || !overload_factor ||
-      *shards < 0 || *max_batch < 1 || *window_us < 0 || *max_p99_us < 0 ||
-      *max_queue < 0 || *deadline_us < 0 || *retries < 0 || *backoff_us < 1 ||
+  ServerOptions server_options;
+  ReplayOptions replay_options;
+  if (!parse_serve_flags(args, &server_options, &replay_options) ||
+      !max_p99_us || !overload_factor || *max_p99_us < 0 ||
       *overload_factor < 0) {
     return usage_command(cmd, "bad numeric flag");
   }
@@ -894,17 +909,8 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
   std::vector<ReplayReport> reports;
   reports.reserve(client_counts.size());
   for (const std::uint32_t clients : client_counts) {
-    ServerOptions server_options;
-    server_options.shard_bits = static_cast<int>(*shards);
-    server_options.max_batch = static_cast<std::uint32_t>(*max_batch);
-    server_options.batch_window_us = static_cast<std::uint32_t>(*window_us);
-    server_options.max_queue = static_cast<std::uint32_t>(*max_queue);
-    server_options.deadline_us = static_cast<std::uint64_t>(*deadline_us);
     IndexServer server(source.view, server_options);
-    ReplayOptions replay_options;
     replay_options.clients = clients;
-    replay_options.max_retries = static_cast<std::uint32_t>(*retries);
-    replay_options.backoff_base_us = static_cast<std::uint32_t>(*backoff_us);
     reports.push_back(replay_trace(server, trace, replay_options));
   }
 
@@ -919,14 +925,35 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
                    Table::fmt_int(report.retries)});
   }
   table.print(std::cout);
-  std::cout << "shards 2^" << *shards << ", max batch " << *max_batch
-            << ", batch window " << *window_us << " us, max queue "
-            << *max_queue << ", deadline " << *deadline_us << " us, retries "
-            << *retries << "\n";
+  std::cout << "shards 2^" << server_options.shard_bits << ", max batch "
+            << server_options.max_batch << ", batch window "
+            << server_options.batch_window_us << " us, max queue "
+            << server_options.max_queue << ", deadline "
+            << server_options.deadline_us << " us, retries "
+            << replay_options.max_retries << "\n";
 
   const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {
-    write_serve_json(json_path, reports);
+    std::vector<BenchEntry> entries;
+    for (const ReplayReport& report : reports) {
+      for (const auto& [metric, value] :
+           {std::pair<const char*, double>{"p50", report.p50_us},
+            std::pair<const char*, double>{"p99", report.p99_us}}) {
+        entries.push_back(
+            {"serve_replay_" + std::string(metric) +
+                 "/clients:" + std::to_string(report.clients),
+             report.queries,
+             value,
+             {{"items_per_second", fmt_double(report.qps)},
+              {"accepted", std::to_string(report.accepted)},
+              {"rejected", std::to_string(report.rejected)},
+              {"timed_out", std::to_string(report.timed_out)},
+              {"retries", std::to_string(report.retries)},
+              {"queue_wait_p99_us", fmt_double(report.queue_wait_p99_us)},
+              {"execute_p99_us", fmt_double(report.execute_p99_us)}}});
+      }
+    }
+    write_bench_json(json_path, entries);
     std::cout << "wrote " << json_path << "\n";
   }
   write_observability_outputs(args);
@@ -962,59 +989,6 @@ int cmd_serve_bench(const Command& cmd, const cli::Args& args) {
   return 0;
 }
 
-/// Google-benchmark-shaped JSON for the chaos soak, alongside the serve
-/// replay metrics in trajectory aggregation.
-void write_chaos_json(const std::string& path, const ChaosReport& report,
-                      std::uint32_t clients) {
-  std::string out;
-  out += "{\n  \"context\": {\n";
-  out += "    \"date\": \"" + iso_utc_now() + "\",\n";
-  out += "    \"executable\": \"sfctool\",\n";
-  out += "    \"num_cpus\": " +
-         std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  out += "    \"library_build_type\": \"release\"\n";
-  out += "  },\n  \"benchmarks\": [\n";
-  bool first = true;
-  for (const auto& [metric, value] :
-       {std::pair<const char*, double>{"baseline_p99", report.baseline_p99_us},
-        std::pair<const char*, double>{"soak_p99", report.soak_p99_us}}) {
-    if (!first) out += ",\n";
-    first = false;
-    out += "    {\n";
-    out += "      \"name\": \"serve_chaos_" + std::string(metric) +
-           "/clients:" + std::to_string(clients) + "\",\n";
-    out += "      \"run_type\": \"iteration\",\n";
-    out += "      \"repetitions\": 1,\n";
-    out += "      \"iterations\": " + std::to_string(report.queries) + ",\n";
-    out += "      \"real_time\": " + fmt_double(value) + ",\n";
-    out += "      \"cpu_time\": " + fmt_double(value) + ",\n";
-    out += "      \"time_unit\": \"us\",\n";
-    out += "      \"accepted\": " + std::to_string(report.accepted) + ",\n";
-    out += "      \"rejected\": " + std::to_string(report.rejected) + ",\n";
-    out += "      \"timed_out\": " + std::to_string(report.timed_out) + ",\n";
-    out += "      \"retries\": " + std::to_string(report.retries) + ",\n";
-    out += "      \"wrong_answers\": " + std::to_string(report.wrong_answers) +
-           ",\n";
-    out += "      \"reloads\": " + std::to_string(report.reloads) + ",\n";
-    out += "      \"failed_reloads\": " + std::to_string(report.failed_reloads) +
-           ",\n";
-    out += "      \"crash_cycles\": " + std::to_string(report.crash_cycles) +
-           ",\n";
-    out += "      \"crashed_writes\": " + std::to_string(report.crashed_writes) +
-           ",\n";
-    out += "      \"torn_files\": " + std::to_string(report.torn_files) + ",\n";
-    out += "      \"epochs_observed\": " +
-           std::to_string(report.epochs_observed) + "\n";
-    out += "    }";
-  }
-  out += "\n  ]\n}\n";
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) throw Error("cannot open json output file: " + path);
-  file.write(out.data(), static_cast<std::streamsize>(out.size()));
-  file.flush();
-  if (!file) throw Error("I/O error writing json output file: " + path);
-}
-
 int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
   const std::string file = args.get_string("file", "");
   if (file.empty()) {
@@ -1031,21 +1005,13 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
   const auto duration_s = args.get_int("duration-s", 5);
   const auto reload_ms = args.get_int("reload-every-ms", 100);
   const auto crash_every = args.get_int("crash-every", 0);
-  const auto shards = args.get_int("shards", 4);
-  const auto max_batch = args.get_int("max-batch", 64);
-  const auto window_us = args.get_int("window-us", 200);
-  const auto max_queue = args.get_int("max-queue", 0);
-  const auto deadline_us = args.get_int("deadline-us", 0);
-  const auto retries = args.get_int("retries", 3);
-  const auto backoff_us = args.get_int("backoff-us", 200);
   const auto p99_factor = args.get_int("p99-factor", 2);
-  if (!dim || !bits || !seed || !points || !block_rows || !clients ||
-      !duration_s || !reload_ms || !crash_every || !shards || !max_batch ||
-      !window_us || !max_queue || !deadline_us || !retries || !backoff_us ||
-      !p99_factor || *points < 1 || *block_rows < 1 || *clients < 1 ||
-      *duration_s < 1 || *reload_ms < 1 || *crash_every < 0 || *shards < 0 ||
-      *max_batch < 1 || *window_us < 0 || *max_queue < 0 || *deadline_us < 0 ||
-      *retries < 0 || *backoff_us < 1 || *p99_factor < 1) {
+  ChaosOptions options;
+  if (!parse_serve_flags(args, &options.server, &options.replay) || !dim ||
+      !bits || !seed || !points || !block_rows || !clients || !duration_s ||
+      !reload_ms || !crash_every || !p99_factor || *points < 1 ||
+      *block_rows < 1 || *clients < 1 || *duration_s < 1 || *reload_ms < 1 ||
+      *crash_every < 0 || *p99_factor < 1) {
     return usage_command(cmd, "bad numeric flag");
   }
   std::string error;
@@ -1055,23 +1021,15 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
                   static_cast<std::uint64_t>(*seed), &error, &descriptor);
   if (!curve) return usage_command(cmd, error);
 
-  ChaosOptions options;
   options.descriptor = descriptor;
   options.points = static_cast<std::uint64_t>(*points);
   options.seed = static_cast<std::uint64_t>(*seed);
   options.block_rows = static_cast<std::uint32_t>(*block_rows);
   options.path = file;
-  options.clients = static_cast<std::uint32_t>(*clients);
+  options.replay.clients = static_cast<std::uint32_t>(*clients);
   options.duration_s = static_cast<double>(*duration_s);
   options.reload_every_ms = static_cast<std::uint32_t>(*reload_ms);
   options.crash_every = static_cast<std::uint32_t>(*crash_every);
-  options.max_retries = static_cast<std::uint32_t>(*retries);
-  options.backoff_base_us = static_cast<std::uint32_t>(*backoff_us);
-  options.server.shard_bits = static_cast<int>(*shards);
-  options.server.max_batch = static_cast<std::uint32_t>(*max_batch);
-  options.server.batch_window_us = static_cast<std::uint32_t>(*window_us);
-  options.server.max_queue = static_cast<std::uint32_t>(*max_queue);
-  options.server.deadline_us = static_cast<std::uint64_t>(*deadline_us);
   const std::string trace_path = args.get_string("trace", "");
   if (!trace_path.empty()) {
     options.trace = read_trace_file(trace_path);
@@ -1081,7 +1039,7 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
   }
 
   std::cout << "chaos soak: " << options.points << " points per dataset, "
-            << options.clients << " clients, " << *duration_s
+            << options.replay.clients << " clients, " << *duration_s
             << " s, reload every " << *reload_ms << " ms"
             << (options.crash_every > 0
                     ? ", crash cycle every " +
@@ -1110,7 +1068,28 @@ int cmd_serve_chaos(const Command& cmd, const cli::Args& args) {
 
   const std::string json_path = args.get_string("json", "");
   if (!json_path.empty()) {
-    write_chaos_json(json_path, report, options.clients);
+    std::vector<BenchEntry> entries;
+    for (const auto& [metric, value] :
+         {std::pair<const char*, double>{"baseline_p99", report.baseline_p99_us},
+          std::pair<const char*, double>{"soak_p99", report.soak_p99_us}}) {
+      entries.push_back(
+          {"serve_chaos_" + std::string(metric) +
+               "/clients:" + std::to_string(options.replay.clients),
+           report.queries,
+           value,
+           {{"accepted", std::to_string(report.accepted)},
+            {"rejected", std::to_string(report.rejected)},
+            {"timed_out", std::to_string(report.timed_out)},
+            {"retries", std::to_string(report.retries)},
+            {"wrong_answers", std::to_string(report.wrong_answers)},
+            {"reloads", std::to_string(report.reloads)},
+            {"failed_reloads", std::to_string(report.failed_reloads)},
+            {"crash_cycles", std::to_string(report.crash_cycles)},
+            {"crashed_writes", std::to_string(report.crashed_writes)},
+            {"torn_files", std::to_string(report.torn_files)},
+            {"epochs_observed", std::to_string(report.epochs_observed)}}});
+    }
+    write_bench_json(json_path, entries);
     std::cout << "wrote " << json_path << "\n";
   }
   write_observability_outputs(args);
@@ -1191,12 +1170,7 @@ int cmd_stats(const Command& cmd, const cli::Args& args) {
     write_text_file(out, rendered);
     std::cout << "wrote " << out << "\n";
   }
-  const std::string trace_out = args.get_string("trace-out", "");
-  if (!trace_out.empty()) {
-    const std::vector<TraceSpan> spans = TraceRing::global().snapshot();
-    write_text_file(trace_out, chrome_trace_json(spans));
-    std::cout << "wrote " << trace_out << " (" << spans.size() << " spans)\n";
-  }
+  write_observability_outputs(args);
   return 0;
 }
 
@@ -1277,6 +1251,16 @@ const FlagSpec kCurveFlag = {"curve", "NAME", "curve family (see 'sfctool help')
 const FlagSpec kDimFlag = {"dim", "D", "universe dimensionality"};
 const FlagSpec kBitsFlag = {"bits", "K", "universe side = 2^K (3^K for peano)"};
 const FlagSpec kSeedFlag = {"seed", "S", "rng seed (random curve / dataset)"};
+/// Parsed by parse_serve_flags; `retries` help differs by command default.
+std::vector<FlagSpec> serve_flags(const char* retries_help) {
+  return {{"shards", "B", "use 2^B curve-contiguous shards (default 4)"},
+          {"max-batch", "N", "admission batch size (default 64)"},
+          {"window-us", "U", "admission batch window, us (default 200)"},
+          {"max-queue", "N", "admission queue bound (0 = unbounded)"},
+          {"deadline-us", "U", "per-query deadline, us (0 = none)"},
+          {"retries", "N", retries_help},
+          {"backoff-us", "U", "base retry backoff, us (default 200)"}};
+}
 const std::vector<FlagSpec> kIndexBuildFlags = {
     kCurveFlag, kDimFlag, kBitsFlag, kSeedFlag,
     {"count", "N", "uniform random points to index (default 100000)"},
@@ -1284,7 +1268,7 @@ const std::vector<FlagSpec> kIndexBuildFlags = {
     {"block-rows", "B", "directory block size in rows (default 256)"}};
 
 std::vector<FlagSpec> with(std::vector<FlagSpec> base,
-                           std::initializer_list<FlagSpec> extra) {
+                           const std::vector<FlagSpec>& extra) {
   base.insert(base.end(), extra.begin(), extra.end());
   return base;
 }
@@ -1349,19 +1333,13 @@ const std::vector<Command>& command_table() {
         {"out", "FILE", "output trace file (required)"}},
        cmd_trace_gen},
       {"serve-bench", "replay a query trace through the batching server",
-       with(kIndexBuildFlags,
+       with(with(kIndexBuildFlags,
+                 serve_flags("client retries on overload/timeout (default 0)")),
             {{"file", "FILE", "mmap this index file instead of building"},
              {"trace", "FILE", "query trace to replay (required)"},
              {"clients", "LIST", "client counts, e.g. 1,8,64 (default)"},
-             {"shards", "B", "use 2^B curve-contiguous shards (default 4)"},
-             {"max-batch", "N", "admission batch size (default 64)"},
-             {"window-us", "U", "admission batch window, us (default 200)"},
              {"json", "FILE", "write google-benchmark-shaped JSON"},
              {"max-p99-us", "U", "fail if any p99 exceeds this (0 = off)"},
-             {"max-queue", "N", "admission queue bound (0 = unbounded)"},
-             {"deadline-us", "U", "per-query deadline, us (0 = none)"},
-             {"retries", "N", "client retries on overload/timeout (default 0)"},
-             {"backoff-us", "U", "base retry backoff, us (default 200)"},
              {"overload-p99-factor", "F",
               "fail if accepted p99 exceeds F x the first client level's p99 "
               "(0 = off)"},
@@ -1371,7 +1349,7 @@ const std::vector<Command>& command_table() {
               "write captured spans as Chrome trace-event JSON"}}),
        cmd_serve_bench},
       {"serve-chaos", "soak the server under continuous reloads and crashes",
-       {kCurveFlag, kDimFlag, kBitsFlag, kSeedFlag,
+       with({kCurveFlag, kDimFlag, kBitsFlag, kSeedFlag,
         {"file", "FILE", "served index path, rewritten throughout (required)"},
         {"points", "N", "points per dataset (default 20000)"},
         {"block-rows", "B", "directory block size in rows (default 256)"},
@@ -1380,19 +1358,13 @@ const std::vector<Command>& command_table() {
         {"duration-s", "S", "soak seconds (default 5; baseline phase ~S/5)"},
         {"reload-every-ms", "MS", "writer rewrite+reload cadence (default 100)"},
         {"crash-every", "N", "crash cycle every Nth rewrite (0 = off)"},
-        {"shards", "B", "use 2^B curve-contiguous shards (default 4)"},
-        {"max-batch", "N", "admission batch size (default 64)"},
-        {"window-us", "U", "admission batch window, us (default 200)"},
-        {"max-queue", "N", "admission queue bound (0 = unbounded)"},
-        {"deadline-us", "U", "per-query deadline, us (0 = none)"},
-        {"retries", "N", "client retries on overload/timeout (default 3)"},
-        {"backoff-us", "U", "base retry backoff, us (default 200)"},
         {"p99-factor", "F", "fail if soak p99 exceeds F x baseline (default 2)"},
         {"json", "FILE", "write google-benchmark-shaped JSON"},
         {"metrics-out", "FILE",
          "write a metrics snapshot (json; .prom = Prometheus text)"},
         {"trace-out", "FILE",
          "write captured spans as Chrome trace-event JSON"}},
+            serve_flags("client retries on overload/timeout (default 3)")),
        cmd_serve_chaos},
       {"stats", "replay a trace and dump the unified metrics snapshot",
        with(kIndexBuildFlags,
