@@ -21,6 +21,7 @@
 #include "sfc/curves/curve_factory.h"
 #include "sfc/index/point_index.h"
 #include "sfc/rng/sampling.h"
+#include "sfc/serve/generation.h"
 #include "sfc/store/index_store.h"
 
 namespace {
@@ -88,6 +89,27 @@ void BM_StoreOpenVerified(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_StoreOpenVerified)->Arg(9)->Arg(10)->Unit(benchmark::kMillisecond);
+
+// The degraded serving open runs the same verification scan as the verified
+// open and localizes its findings; on a clean file the two must cost the same.
+void BM_GenerationOpenDegraded(benchmark::State& state) {
+  const StoreFixture f = StoreFixture::make(static_cast<int>(state.range(0)));
+  const std::string path = bench_path("open_degraded");
+  write_index_file(path, f.index, f.descriptor);
+  const std::uint64_t bytes =
+      MappedIndex::open(path, {.verify = false}).file_bytes();
+  for (auto _ : state) {
+    const auto generation = IndexGeneration::open(path, 4, 0, true);
+    benchmark::DoNotOptimize(generation->dead_shards().size());
+  }
+  std::remove(path.c_str());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_GenerationOpenDegraded)
+    ->Arg(9)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_StoreOpenUnverified(benchmark::State& state) {
   const StoreFixture f = StoreFixture::make(static_cast<int>(state.range(0)));

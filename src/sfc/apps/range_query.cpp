@@ -21,17 +21,9 @@ index_t count_key_runs_enumeration(const SpaceFillingCurve& curve,
 
 index_t count_key_runs(const SpaceFillingCurve& curve, const Box& box,
                        RunCountEngine engine) {
-  switch (engine) {
-    case RunCountEngine::kEnumeration:
-      return count_key_runs_enumeration(curve, box);
-    case RunCountEngine::kCover:
-      return static_cast<index_t>(RangeCoverEngine(curve).cover(box).size());
-    case RunCountEngine::kAuto:
-      break;
-  }
-  return curve.has_subtree_traversal()
-             ? static_cast<index_t>(RangeCoverEngine(curve).cover(box).size())
-             : count_key_runs_enumeration(curve, box);
+  return engine == RunCountEngine::kEnumeration
+             ? count_key_runs_enumeration(curve, box)
+             : static_cast<index_t>(RangeCoverEngine(curve).cover(box).size());
 }
 
 ClusteringStats random_box_clustering(const SpaceFillingCurve& curve,

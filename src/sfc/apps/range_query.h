@@ -9,8 +9,8 @@
 //
 // Two engines produce bit-identical counts: the hierarchical cover engine
 // (sfc/ranges, O(runs · log side) via subtree descent) and the streaming
-// enumeration reference path (O(volume · log volume)).  The default picks
-// the cover engine whenever the curve has subtree structure.
+// enumeration reference path (O(volume · log volume)).  The default is the
+// cover engine; both reject a box outside the universe.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,6 @@ namespace sfc {
 
 /// How count_key_runs / random_box_clustering compute the run count.
 enum class RunCountEngine {
-  /// kCover when the curve has subtree structure, else kEnumeration.
-  kAuto,
   /// Hierarchical cover (RangeCoverEngine); falls back to enumeration for
   /// curves without subtree structure.
   kCover,
@@ -39,7 +37,7 @@ enum class RunCountEngine {
 /// Number of maximal runs of consecutive curve keys covering the box
 /// (the clustering number of the query region).
 index_t count_key_runs(const SpaceFillingCurve& curve, const Box& box,
-                       RunCountEngine engine = RunCountEngine::kAuto);
+                       RunCountEngine engine = RunCountEngine::kCover);
 
 /// The enumeration reference path: batch-encodes every cell of the box in
 /// fixed-size slices, sorts, and counts the merged key runs (the shared
@@ -62,7 +60,7 @@ struct ClusteringOptions {
   /// run counts are reduced as exact integers, so the result is bit-identical
   /// across any thread count.
   ThreadPool* pool = nullptr;
-  RunCountEngine engine = RunCountEngine::kAuto;
+  RunCountEngine engine = RunCountEngine::kCover;
   /// Samples per deterministic reduction chunk.
   std::uint64_t grain = 64;
 };

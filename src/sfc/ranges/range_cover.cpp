@@ -67,6 +67,26 @@ void emit(std::vector<KeyInterval>& out, index_t lo, index_t hi) {
   }
 }
 
+/// Every public cover path (and so every run count) refuses such a box.
+void check_box_in_universe(const Universe& u, const Box& box) {
+  if (box.dim() != u.dim()) {
+    throw RangeArgumentError(
+        "range cover: box of dimension " + std::to_string(box.dim()) +
+        " queried against a d=" + std::to_string(u.dim()) + " universe");
+  }
+  for (int i = 0; i < u.dim(); ++i) {
+    for (const Point& corner : {box.lo(), box.hi()}) {
+      if (corner[i] >= u.side()) {
+        throw RangeArgumentError(
+            "range cover: box corner " + corner.to_string() + " coordinate " +
+            std::to_string(i + 1) + " = " + std::to_string(corner[i]) +
+            " lies outside the side-" + std::to_string(u.side()) +
+            " universe");
+      }
+    }
+  }
+}
+
 /// Shared streaming loop of the enumeration path: batch-encode every cell of
 /// the box into `keys` (reusing its capacity), sort, merge adjacent keys.
 void enumerate_cover_into(const SpaceFillingCurve& curve, const Box& box,
@@ -106,22 +126,7 @@ std::span<const KeyInterval> RangeCoverEngine::cover(const Box& box,
                                                      CoverWorkspace& ws,
                                                      CoverStats* stats) const {
   const Universe& u = curve_.universe();
-  if (box.dim() != u.dim()) {
-    throw RangeArgumentError(
-        "range cover: box of dimension " + std::to_string(box.dim()) +
-        " queried against a d=" + std::to_string(u.dim()) + " universe");
-  }
-  for (int i = 0; i < u.dim(); ++i) {
-    for (const Point& corner : {box.lo(), box.hi()}) {
-      if (corner[i] >= u.side()) {
-        throw RangeArgumentError(
-            "range cover: box corner " + corner.to_string() + " coordinate " +
-            std::to_string(i + 1) + " = " + std::to_string(corner[i]) +
-            " lies outside the side-" + std::to_string(u.side()) +
-            " universe");
-      }
-    }
-  }
+  check_box_in_universe(u, box);
   if (stats != nullptr) *stats = CoverStats{};
   if (!curve_.has_subtree_traversal()) {
     enumerate_cover_into(curve_, box, ws.keys, ws.merged);
@@ -245,6 +250,7 @@ std::span<const KeyInterval> RangeCoverEngine::cover(const Box& box,
 
 std::vector<KeyInterval> cover_by_enumeration(const SpaceFillingCurve& curve,
                                               const Box& box) {
+  check_box_in_universe(curve.universe(), box);
   std::vector<index_t> keys;
   std::vector<KeyInterval> out;
   enumerate_cover_into(curve, box, keys, out);

@@ -31,7 +31,8 @@
 
 namespace sfc {
 
-/// Thrown by RangeCoverEngine::cover when the query box does not lie inside
+/// Thrown by RangeCoverEngine::cover and cover_by_enumeration (and so by
+/// every run count) when the query box does not lie inside
 /// the curve's universe (wrong dimensionality or a corner coordinate beyond
 /// the side); the message names the first offending coordinate.  Derives
 /// from sfc::Error so drivers recover at the tool boundary instead of
@@ -135,7 +136,8 @@ class RangeCoverEngine {
 /// box in fixed-size slices, radix-sort the keys, merge adjacent keys into
 /// intervals.  O(volume · log volume) work, O(volume) memory — the reference
 /// implementation the subtree descent is verified against, and the fallback
-/// for curves without subtree structure.
+/// for curves without subtree structure.  Throws RangeArgumentError for a
+/// box outside the universe, like RangeCoverEngine::cover.
 std::vector<KeyInterval> cover_by_enumeration(const SpaceFillingCurve& curve,
                                               const Box& box);
 

@@ -1,35 +1,12 @@
 #include "sfc/serve/generation.h"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <utility>
 
 #include "sfc/serve/serve_error.h"
 
 namespace sfc {
-
-namespace {
-
-// Column indices of MappedIndex::verify_column_checksums()'s bitmask.
-constexpr std::uint32_t kKeysBit = 1u << 0;
-constexpr std::uint32_t kIdsBit = 1u << 1;
-constexpr std::uint32_t kPointsBit = 1u << 2;
-constexpr std::uint32_t kDirectoryBit = 1u << 3;
-
-/// Marks a key that is not one: a malformed or out-of-universe point's key.
-constexpr index_t kNoKey = std::numeric_limits<index_t>::max();
-
-/// Why row `row` is damaged: its stored key and its point's key disagree.
-std::string damage_note(std::uint64_t row, index_t stored, index_t encoded) {
-  return "row " + std::to_string(row) + " key " + std::to_string(stored) +
-         (encoded == kNoKey
-              ? " beside a point outside the curve universe"
-              : " does not re-encode from its point (curve gives " +
-                    std::to_string(encoded) + ")");
-}
-
-}  // namespace
 
 std::shared_ptr<const IndexGeneration> IndexGeneration::open(
     const std::string& path, int shard_bits, std::uint64_t epoch,
@@ -38,50 +15,49 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
   gen->epoch_ = epoch;
   gen->path_ = path;
 
-  if (!allow_degraded) {
-    // Strict open: the store layer's full validation, any corruption throws.
-    gen->mapped_.emplace(MappedIndex::open(path, {.verify = true}));
-    gen->sharded_.emplace(gen->mapped_->view(), shard_bits);
-    gen->shard_alive_.assign(gen->sharded_->shard_count(), 1);
-    gen->shard_errors_.assign(gen->sharded_->shard_count(), std::string());
-    return gen;
-  }
-
-  // Degraded open: structural validation only (header, bounds, descriptor —
-  // anything failing there makes the whole file unusable), then localize.
+  // The store's one verification scan decides which rows are intact; a
+  // strict open throws its first finding, a degraded one localizes them.
   gen->mapped_.emplace(MappedIndex::open(path, {.verify = false}));
-  const std::uint32_t mask = gen->mapped_->verify_column_checksums();
-  if (mask & kIdsBit) {
-    // The ids column has no semantic invariant a per-shard check could
-    // verify (any permutation of input positions is plausible), so its
-    // corruption cannot be localized — serving would risk silently wrong
-    // ids.  Reject the file outright.
-    throw StoreError("index open: '" + path +
-                     "': ids column checksum mismatch — not localizable to "
-                     "a shard, refusing degraded open");
-  }
-
-  // Localize row by row.  A row is intact when its point lies in the
-  // universe and re-encodes to its key; intact rows must ascend, or the
-  // damage is not attributable.  A damaged row's true key lies between the
-  // keys of the intact rows around it, and it is the stored key when the
-  // key column's checksum holds, the point's key when the points column's
-  // does, and either one otherwise.  The shards of the candidates that fit
-  // between the intact keys die, or every shard of that gap when none fits.
-  // Nothing here searches the key column or the file's directory, so no
-  // corrupt word can move rows from one shard to another.
+  const IndexDamage damage = gen->mapped_->scan();
+  if (!allow_degraded) gen->mapped_->throw_if_damaged(damage);
   const IndexColumnsView file = gen->mapped_->view();
   const SpaceFillingCurve& curve = file.curve();
-  const Universe& u = curve.universe();
-  const std::span<const index_t> keys = file.keys();
-  const std::span<const Point> points = file.points();
-  const std::uint64_t rows = keys.size();
   // Only the key-range table is used, and it depends on the curve alone.
   const ShardedIndex layout(
       IndexColumnsView(curve, file.block_rows(), {}, {}, {}, {}), shard_bits);
   const std::size_t count = layout.shard_count();
   gen->shard_alive_.assign(count, 1);
   gen->shard_errors_.assign(count, std::string());
+  if (damage.clean()) {
+    gen->sharded_.emplace(file, shard_bits);
+    return gen;
+  }
+
+  const auto refuse = [&](const std::string& why) {
+    throw StoreError("index open: '" + path + "': " + why +
+                     ", refusing degraded open");
+  };
+  // The ids column (mask bit 1) has no semantic invariant a row check could
+  // verify (any permutation of input positions is plausible), so its
+  // corruption cannot be localized — serving would risk silently wrong ids.
+  const std::uint32_t mask = damage.checksum_mask;
+  if (mask & (1u << 1)) {
+    refuse("ids column checksum mismatch — not localizable to a shard");
+  }
+  if (damage.unsorted_row) {
+    refuse("intact row " + std::to_string(*damage.unsorted_row) +
+           " sorts below an earlier intact row, not localizable to a shard");
+  }
+
+  // Localize.  A damaged row's true key lies between the keys of the intact
+  // rows around it, and it is the stored key when the key column's checksum
+  // holds, the point's key when the points column's does, and either one
+  // otherwise.  The shards of the candidates that fit between the intact
+  // keys die, or every shard of that gap when none fits.  Nothing here
+  // searches the key column or the file's directory, so no corrupt word can
+  // move rows from one shard to another.
+  const std::span<const index_t> keys = file.keys();
+  const std::uint64_t rows = keys.size();
 
   std::size_t dead_count = 0;
   const auto mark_dead = [&](std::size_t s, const auto& why) {
@@ -91,103 +67,70 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
     ++dead_count;
   };
 
-  struct Damaged {
-    std::uint64_t row;
-    index_t stored;
-    index_t encoded;
-    std::size_t first_dead = 0;  ///< lowest shard the row killed
-  };
-  std::vector<Damaged> damaged;  // ascending by row
-  std::size_t resolved = 0;      // damaged[resolved..] await the next intact key
-  index_t gap_lo = 0;            // key of the last intact row
-  const bool keys_sound = (mask & kKeysBit) == 0;
-  const bool points_sound = (mask & kPointsBit) == 0;
-  const auto close_gap = [&](index_t gap_hi) {
-    for (; resolved < damaged.size(); ++resolved) {
-      Damaged& d = damaged[resolved];
-      const auto why = [&] { return damage_note(d.row, d.stored, d.encoded); };
-      d.first_dead = count;
-      for (const index_t key : {keys_sound || !points_sound ? d.stored : kNoKey,
-                                keys_sound ? kNoKey : d.encoded}) {
+  const std::vector<DamagedRow>& damaged = damage.damaged_rows;
+  std::vector<std::size_t> first_dead(damaged.size());  // lowest shard killed
+  const bool keys_sound = (mask & (1u << 0)) == 0;    // keys: bit 0
+  const bool points_sound = (mask & (1u << 2)) == 0;  // points: bit 2
+  // Kills the shards the true keys of damaged[begin, end) can lie in: the
+  // keys of the intact rows around that run, gap_lo and gap_hi, bound them.
+  const auto close_gap = [&](std::size_t begin, std::size_t end,
+                             index_t gap_lo, index_t gap_hi) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const DamagedRow& d = damaged[i];
+      const auto why = [&] { return gen->mapped_->describe(d); };
+      first_dead[i] = count;
+      for (const index_t key :
+           {keys_sound || !points_sound ? d.stored : DamagedRow::kNoKey,
+            keys_sound ? DamagedRow::kNoKey : d.encoded}) {
         if (key < gap_lo || key > gap_hi) continue;
         const std::size_t s = layout.shard_of_key(key);
         mark_dead(s, why);
-        d.first_dead = std::min(d.first_dead, s);
+        first_dead[i] = std::min(first_dead[i], s);
       }
-      if (d.first_dead == count) {
-        d.first_dead = layout.shard_of_key(gap_lo);
-        for (std::size_t s = d.first_dead; s <= layout.shard_of_key(gap_hi);
+      if (first_dead[i] == count) {
+        first_dead[i] = layout.shard_of_key(gap_lo);
+        for (std::size_t s = first_dead[i]; s <= layout.shard_of_key(gap_hi);
              ++s) {
           mark_dead(s, why);
         }
       }
     }
   };
-
-  constexpr std::uint64_t kVerifyChunk = 4096;
-  std::vector<index_t> encoded(std::min<std::uint64_t>(rows, kVerifyChunk));
-  for (std::uint64_t at = 0; at < rows; at += kVerifyChunk) {
-    const std::uint64_t n = std::min<std::uint64_t>(kVerifyChunk, rows - at);
-    const std::span<const Point> chunk = points.subspan(at, n);
-    if (std::all_of(chunk.begin(), chunk.end(),
-                    [&](const Point& p) { return u.contains(p); })) {
-      curve.index_of_batch(chunk, std::span<index_t>(encoded.data(), n));
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        encoded[i] = u.contains(chunk[i]) ? curve.index_of(chunk[i]) : kNoKey;
-      }
+  for (std::size_t begin = 0, end = 0; begin < damaged.size(); begin = end) {
+    for (end = begin + 1;
+         end < damaged.size() && damaged[end].row == damaged[end - 1].row + 1;
+         ++end) {
     }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const index_t key = keys[at + i];
-      if (key != encoded[i] || key == kNoKey) {
-        damaged.push_back(Damaged{at + i, key, encoded[i]});
-        continue;
-      }
-      if (key < gap_lo) {
-        throw StoreError("index open: '" + path + "': intact row " +
-                         std::to_string(at + i) +
-                         " sorts below an earlier intact row, not "
-                         "localizable to a shard, refusing degraded open");
-      }
-      close_gap(key);
-      gap_lo = key;
-    }
+    const std::uint64_t first = damaged[begin].row;
+    const std::uint64_t after = damaged[end - 1].row + 1;
+    close_gap(begin, end, first == 0 ? 0 : keys[first - 1],
+              after == rows ? curve.universe().cell_count() - 1 : keys[after]);
   }
-  close_gap(u.cell_count() - 1);
 
   // A mismatch in the file's block directory beside an intact row marks that
   // row's shard: that is where the disagreeing key lives.  (A damaged row's
   // shards are dead already.)
-  const std::span<const index_t> directory = file.block_last_key();
-  for (std::uint64_t b = 0; b < directory.size(); ++b) {
-    const std::uint64_t end = std::min<std::uint64_t>(
-        (b + 1) * std::uint64_t{file.block_rows()}, rows);
-    if (end == 0) break;
-    if (directory[b] != keys[end - 1] &&
-        !std::ranges::binary_search(damaged, end - 1, {}, &Damaged::row)) {
-      mark_dead(layout.shard_of_key(keys[end - 1]), [&] {
+  for (const std::uint64_t b : damage.directory_blocks) {
+    const std::uint64_t last = std::min<std::uint64_t>(
+        (b + 1) * std::uint64_t{file.block_rows()}, rows) - 1;
+    if (!std::ranges::binary_search(damaged, last, {}, &DamagedRow::row)) {
+      mark_dead(layout.shard_of_key(keys[last]), [&] {
         return "global directory entry " + std::to_string(b) +
                " disagrees with the key column";
       });
     }
   }
 
-  if (dead_count == count && count > 0) {
-    throw StoreError("index open: '" + path +
-                     "': every shard failed verification (first: " +
-                     gen->shard_errors_[0] + ")");
-  }
-  if (mask != 0 && dead_count == 0) {
-    // A checksum disagrees but no shard check explains it — either the
-    // recorded checksum itself is corrupt or the corruption hides where the
-    // semantic checks cannot see it.  Unattributable = unserveable.
-    throw StoreError("index open: '" + path + "': column checksum mismatch " +
-                     "(mask " + std::to_string(mask) +
-                     ") not localizable to any shard, refusing degraded open");
+  if (dead_count == count) {
+    refuse("every shard failed verification (first: " +
+           gen->shard_errors_[0] + ")");
   }
   if (dead_count == 0) {
-    gen->sharded_.emplace(file, shard_bits);
-    return gen;
+    // Only a checksum disagrees and no row check explains it — either the
+    // recorded checksum itself is corrupt or the corruption hides where the
+    // row checks cannot see it.  Unattributable = unserveable.
+    refuse("column checksum mismatch (mask " + std::to_string(mask) +
+           ") not localizable to any shard");
   }
 
   // Serve from a view that never reads a dead row or the file's directory:
@@ -197,12 +140,12 @@ std::shared_ptr<const IndexGeneration> IndexGeneration::open(
   // (a damaged row's dead shards lie between its intact neighbours' shards)
   // and puts every dead row inside an excluded range.
   gen->live_keys_.resize(rows);
-  auto next_damaged = damaged.begin();
+  std::size_t next_damaged = 0;
   index_t previous = 0;
   for (std::uint64_t r = 0; r < rows; ++r) {
-    if (next_damaged != damaged.end() && next_damaged->row == r) {
+    if (next_damaged < damaged.size() && damaged[next_damaged].row == r) {
       previous = std::max(
-          previous, layout.shard_key_range(next_damaged->first_dead).lo);
+          previous, layout.shard_key_range(first_dead[next_damaged]).lo);
       ++next_damaged;
     } else {
       const std::size_t s = layout.shard_of_key(keys[r]);

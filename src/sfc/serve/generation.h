@@ -12,15 +12,15 @@
 // validation throws a typed ReloadError and leaves the old generation active:
 // a bad push is an operator event, never an outage.
 //
-// Degraded mode rides the same open path: with allow_degraded, row-by-row
-// verification marks the shards of damaged rows dead instead of failing the
-// whole open (as long as the corruption is localizable — an unattributable
-// mismatch still rejects the file), so a partially-damaged index serves full
-// answers for queries that provably never needed the dead rows and typed
-// PartialResultErrors for the rest.  A damaged row is one whose key and
-// point disagree; it kills the shards its true key can lie in, bounded by
-// the intact rows around it, so no search over a corrupt column decides
-// which rows a shard owns.  A degraded generation serves from a repaired
+// Degraded mode rides the same open path and the store's verification scan
+// (MappedIndex::scan): instead of throwing its first finding, allow_degraded
+// marks the shards of damaged rows dead (as long as the corruption is
+// localizable — an unattributable mismatch still rejects the file), so a
+// partially-damaged index serves full answers for queries that provably
+// never needed the dead rows and typed PartialResultErrors for the rest.
+// A damaged row is one whose key and point disagree; it kills the shards its
+// true key can lie in, bounded by the intact rows around it, so no search
+// over a corrupt column decides which rows a shard owns.  A degraded generation serves from a repaired
 // view that never reads a dead shard's rows or the file's directory: the
 // mapped ids and points, a key column copy in which every dead row's key is
 // a dead shard's first key, and a directory rebuilt from that copy; queries
@@ -50,8 +50,8 @@ namespace sfc {
 class IndexGeneration {
  public:
   /// Opens and fully validates `path`.  With allow_degraded = false this is
-  /// a strict open: any corruption throws StoreError.  With allow_degraded =
-  /// true, corruption that row-by-row verification can localize marks the
+  /// a strict open: any corruption throws what MappedIndex::open throws.
+  /// With allow_degraded = true, corruption the scan can localize marks the
   /// shards it touches dead and the open succeeds degraded; corruption that
   /// cannot be attributed to a shard (an ids-column mismatch — ids carry no
   /// semantic invariant a row check could catch — intact rows out of key

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <span>
@@ -103,6 +104,14 @@ void column_sizes(std::uint64_t rows, std::uint32_t block_rows,
   sizes[kIds] = rows * sizeof(std::uint32_t);
   sizes[kPoints] = rows * sizeof(Point);
   sizes[kDirectory] = blocks * sizeof(index_t);
+}
+
+/// A validated column of the mapping at `map` as a typed span.
+template <typename T>
+std::span<const T> column_span(const void* map, const ColumnEntry& column) {
+  return {reinterpret_cast<const T*>(static_cast<const unsigned char*>(map) +
+                                     column.offset),
+          column.bytes / sizeof(T)};
 }
 
 }  // namespace
@@ -428,105 +437,26 @@ MappedIndex MappedIndex::open(const std::string& path,
     fail(std::string("persisted curve descriptor rejected: ") + error.what());
   }
 
-  const auto* base = static_cast<const unsigned char*>(map);
-  const auto* keys = reinterpret_cast<const index_t*>(
-      base + header.columns[kKeys].offset);
-  const auto* ids = reinterpret_cast<const std::uint32_t*>(
-      base + header.columns[kIds].offset);
-  const auto* points = reinterpret_cast<const Point*>(
-      base + header.columns[kPoints].offset);
-  const auto* directory = reinterpret_cast<const index_t*>(
-      base + header.columns[kDirectory].offset);
-  const std::uint64_t rows = header.row_count;
-  const std::uint64_t blocks = sizes[kDirectory] / sizeof(index_t);
-
-  const double verify_start_us = trace_now_us();
-  if (options.verify) {
-    for (std::size_t c = 0; c < kColumns; ++c) {
-      if (fnv1a64(base + header.columns[c].offset, header.columns[c].bytes) !=
-          header.columns[c].checksum) {
-        fail("column " + std::to_string(c) +
-             " checksum mismatch — corrupt data");
-      }
-    }
-    const index_t cells = mapped.curve_->universe().cell_count();
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      if (keys[r] >= cells) {
-        fail("row " + std::to_string(r) + " key " + std::to_string(keys[r]) +
-             " outside the " + std::to_string(cells) + "-cell universe");
-      }
-      if (r > 0 && keys[r - 1] > keys[r]) {
-        fail("key column not sorted at row " + std::to_string(r));
-      }
-    }
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      const std::uint64_t end =
-          std::min<std::uint64_t>((b + 1) * header.block_rows, rows);
-      if (directory[b] != keys[end - 1]) {
-        fail("block directory entry " + std::to_string(b) +
-             " disagrees with the key column");
-      }
-    }
-    // Key<->point agreement: re-encode every stored point through the
-    // reconstructed curve and require the stored key back.  This is the check
-    // that ties the persisted curve identity to the data — a tampered
-    // family/seed/universe (even with a dutifully recomputed checksum) cannot
-    // pass it, so a validated file can never serve silently wrong answers.
-    // Dimension and containment are checked first so index_of_batch only ever
-    // sees in-universe cells.
-    const Universe& u = mapped.curve_->universe();
-    constexpr std::uint64_t kVerifyChunk = 4096;
-    std::vector<index_t> recoded(std::min<std::uint64_t>(rows, kVerifyChunk));
-    for (std::uint64_t at = 0; at < rows; at += kVerifyChunk) {
-      const std::uint64_t n = std::min<std::uint64_t>(kVerifyChunk, rows - at);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const Point& p = points[at + i];
-        if (p.dim() != u.dim()) {
-          fail("row " + std::to_string(at + i) + " point dimension " +
-               std::to_string(p.dim()) + " != curve dimension " +
-               std::to_string(u.dim()));
-        }
-        if (!u.contains(p)) {
-          fail("row " + std::to_string(at + i) +
-               " point outside the curve universe");
-        }
-      }
-      mapped.curve_->index_of_batch(
-          std::span<const Point>(points + at, n),
-          std::span<index_t>(recoded.data(), n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (recoded[i] != keys[at + i]) {
-          fail("row " + std::to_string(at + i) + " key " +
-               std::to_string(keys[at + i]) +
-               " does not re-encode from its point (curve gives " +
-               std::to_string(recoded[i]) +
-               ") — data and curve descriptor disagree");
-        }
-      }
-    }
-  }
-
   mapped.view_ = IndexColumnsView(
-      *mapped.curve_, header.block_rows, std::span<const index_t>(keys, rows),
-      std::span<const std::uint32_t>(ids, rows),
-      std::span<const Point>(points, rows),
-      std::span<const index_t>(directory, blocks));
+      *mapped.curve_, header.block_rows,
+      column_span<index_t>(map, header.columns[kKeys]),
+      column_span<std::uint32_t>(map, header.columns[kIds]),
+      column_span<Point>(map, header.columns[kPoints]),
+      column_span<index_t>(map, header.columns[kDirectory]));
+  if (options.verify) mapped.throw_if_damaged(mapped.scan());
   if (obs_enabled()) {
     const double end_us = trace_now_us();
     StoreMetrics& metrics = store_metrics();
     metrics.opens.add(1);
     metrics.bytes_mapped.add(file_bytes);
     metrics.open_us.record_us(end_us - open_start_us);
-    if (options.verify) {
-      metrics.verify_us.record_us(end_us - verify_start_us);
-    }
     TraceSpan span;
     span.name = "store_open";
     span.category = "store";
     span.start_us = open_start_us;
     span.dur_us = end_us - open_start_us;
     span.tid = trace_thread_id();
-    span.add_arg("rows", rows);
+    span.add_arg("rows", header.row_count);
     span.add_arg("bytes", file_bytes);
     span.add_arg("verified", options.verify ? std::uint64_t{1} : std::uint64_t{0});
     TraceRing::global().record(span);
@@ -534,16 +464,108 @@ MappedIndex MappedIndex::open(const std::string& path,
   return mapped;
 }
 
-std::uint32_t MappedIndex::verify_column_checksums() const {
+IndexDamage MappedIndex::scan() const {
+  const double start_us = trace_now_us();
+  IndexDamage damage;
   const auto* base = static_cast<const unsigned char*>(map_);
-  std::uint32_t mask = 0;
   for (std::size_t c = 0; c < kColumns; ++c) {
     if (fnv1a64(base + column_offset_[c], column_bytes_[c]) !=
         column_checksum_[c]) {
-      mask |= 1u << c;
+      damage.checksum_mask |= 1u << c;
     }
   }
-  return mask;
+
+  // Re-encode the points chunk by chunk; a chunk holding a malformed point
+  // encodes row by row, so the curve only ever sees in-universe cells.
+  const Universe& u = curve_->universe();
+  const std::span<const index_t> keys = view_.keys();
+  const std::span<const Point> points = view_.points();
+  const std::uint64_t rows = keys.size();
+  constexpr std::uint64_t kChunk = 4096;
+  std::vector<index_t> encoded(std::min<std::uint64_t>(rows, kChunk));
+  index_t last_intact = 0;
+  for (std::uint64_t at = 0; at < rows; at += kChunk) {
+    const std::uint64_t n = std::min<std::uint64_t>(kChunk, rows - at);
+    const std::span<const Point> chunk = points.subspan(at, n);
+    if (std::all_of(chunk.begin(), chunk.end(),
+                    [&](const Point& p) { return u.contains(p); })) {
+      curve_->index_of_batch(chunk, std::span<index_t>(encoded.data(), n));
+    } else {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        encoded[i] = u.contains(chunk[i]) ? curve_->index_of(chunk[i])
+                                          : DamagedRow::kNoKey;
+      }
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const index_t key = keys[at + i];
+      if (key != encoded[i] || key == DamagedRow::kNoKey) {
+        damage.damaged_rows.push_back(DamagedRow{at + i, key, encoded[i]});
+        continue;
+      }
+      if (key < last_intact && !damage.unsorted_row) {
+        damage.unsorted_row = at + i;
+      }
+      last_intact = key;
+    }
+  }
+
+  const std::span<const index_t> directory = view_.block_last_key();
+  for (std::uint64_t b = 0; b < directory.size(); ++b) {
+    const std::uint64_t end = std::min<std::uint64_t>(
+        (b + 1) * std::uint64_t{view_.block_rows()}, rows);
+    if (directory[b] != keys[end - 1]) damage.directory_blocks.push_back(b);
+  }
+  if (obs_enabled()) {
+    store_metrics().verify_us.record_us(trace_now_us() - start_us);
+  }
+  return damage;
+}
+
+void MappedIndex::throw_if_damaged(const IndexDamage& damage) const {
+  const auto fail = [&](const std::string& what) {
+    throw StoreError("index open: '" + path_ + "': " + what);
+  };
+  if (damage.checksum_mask != 0) {
+    fail("column " + std::to_string(std::countr_zero(damage.checksum_mask)) +
+         " checksum mismatch — corrupt data");
+  }
+  const index_t cells = curve_->universe().cell_count();
+  const auto out_of_universe =
+      std::ranges::find_if(damage.damaged_rows, [&](const DamagedRow& d) {
+        return d.stored >= cells;
+      });
+  if (out_of_universe != damage.damaged_rows.end() &&
+      (!damage.unsorted_row || out_of_universe->row < *damage.unsorted_row)) {
+    fail("row " + std::to_string(out_of_universe->row) + " key " +
+         std::to_string(out_of_universe->stored) + " outside the " +
+         std::to_string(cells) + "-cell universe");
+  }
+  if (damage.unsorted_row) {
+    fail("key column not sorted at row " +
+         std::to_string(*damage.unsorted_row));
+  }
+  if (!damage.directory_blocks.empty()) {
+    fail("block directory entry " +
+         std::to_string(damage.directory_blocks.front()) +
+         " disagrees with the key column");
+  }
+  if (!damage.damaged_rows.empty()) fail(describe(damage.damaged_rows.front()));
+}
+
+std::string MappedIndex::describe(const DamagedRow& d) const {
+  const Universe& u = curve_->universe();
+  const std::string row = "row " + std::to_string(d.row);
+  const Point& p = view_.point_of_row(d.row);
+  if (p.dim() != u.dim()) {
+    return row + " point dimension " + std::to_string(p.dim()) +
+           " != curve dimension " + std::to_string(u.dim());
+  }
+  if (d.encoded == DamagedRow::kNoKey) {
+    return row + " point outside the curve universe";
+  }
+  return row + " key " + std::to_string(d.stored) +
+         " does not re-encode from its point (curve gives " +
+         std::to_string(d.encoded) + ") — data and curve descriptor disagree";
 }
 
 MappedIndex::MappedIndex(MappedIndex&& other) noexcept

@@ -21,7 +21,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "sfc/common/error.h"
 #include "sfc/common/types.h"
@@ -83,14 +85,12 @@ void write_index_file(const std::string& path, const PointIndex& index,
                       const CurveDescriptor& descriptor);
 
 struct MappedIndexOptions {
-  /// Verify per-column checksums, key-column sortedness, block-directory
-  /// consistency, and key<->point agreement (re-encoding every stored point
-  /// through the reconstructed curve must reproduce its stored key — this is
-  /// what ties the persisted curve identity to the data, so a tampered
-  /// family/seed/universe cannot serve silently wrong answers) at open, one
-  /// streaming pass over the file.  Serving processes that reopen a file
-  /// they just validated may switch this off; header and bounds validation
-  /// always runs.
+  /// Run the verification scan (MappedIndex::scan) at open and throw for
+  /// its first finding.  Its key<->point check ties the persisted curve
+  /// identity to the data, so a tampered family, seed or universe cannot
+  /// serve silently wrong answers.  Serving processes that reopen a file they
+  /// just validated may switch this off; header and bounds validation always
+  /// runs.
   bool verify = true;
   /// Hold an advisory shared lock (flock LOCK_SH) on the file for the
   /// lifetime of the mapping.  Cooperating writers must never truncate or
@@ -100,6 +100,36 @@ struct MappedIndexOptions {
   /// place can take LOCK_EX and will see the readers.  Open fails with a
   /// typed StoreIoError("flock") if the file is exclusively locked.
   bool lock = true;
+};
+
+/// A row whose stored key is not the key its point re-encodes to.
+struct DamagedRow {
+  /// The key of a point with the wrong dimension or outside the universe.
+  static constexpr index_t kNoKey = ~index_t{0};
+  std::uint64_t row = 0;
+  index_t stored = 0;   ///< the key column's word
+  index_t encoded = 0;  ///< the point's key, or kNoKey
+};
+
+/// What one verification scan of a mapped index found (MappedIndex::scan).
+/// A row is intact when its point has the curve's dimension, lies in the
+/// universe and re-encodes to its stored key (so no intact key lies outside
+/// the universe).  A verified open throws for the first finding; a degraded
+/// IndexGeneration::open localizes the same findings to shards.
+struct IndexDamage {
+  /// Bit c set: column c's FNV-1a digest disagrees with the header (bit 0
+  /// keys, bit 1 ids, bit 2 points, bit 3 directory).
+  std::uint32_t checksum_mask = 0;
+  std::vector<DamagedRow> damaged_rows;  ///< ascending
+  /// The first intact row whose key sorts below an earlier intact row's.
+  std::optional<std::uint64_t> unsorted_row;
+  /// Blocks whose directory entry is not their last row's key, ascending.
+  std::vector<std::uint64_t> directory_blocks;
+
+  bool clean() const {
+    return checksum_mask == 0 && damaged_rows.empty() && !unsorted_row &&
+           directory_blocks.empty();
+  }
 };
 
 /// A read-only, mmap-backed index.  Owns the mapping and the curve
@@ -143,12 +173,18 @@ class MappedIndex {
   /// The path this mapping was opened from.
   const std::string& path() const { return path_; }
 
-  /// Re-runs the per-column FNV-1a checksums against the header's recorded
-  /// values and returns a bitmask of mismatching columns (bit 0 keys, bit 1
-  /// ids, bit 2 points, bit 3 directory; 0 = all clean).  This is the
-  /// localization primitive degraded-mode open uses to decide which shards to
-  /// mark dead instead of refusing the whole file.
-  std::uint32_t verify_column_checksums() const;
+  /// The verification scan: one streaming pass over the mapped columns that
+  /// recomputes the column checksums, re-encodes every point, and checks key
+  /// order and the block directory.  Allocates only for findings.
+  IndexDamage scan() const;
+
+  /// Throws the StoreError a verified open raises for `damage`'s first
+  /// finding, in the order checksums, key range and order, directory, rows;
+  /// returns when `damage` is clean.
+  void throw_if_damaged(const IndexDamage& damage) const;
+
+  /// Why `row` is damaged, worded as a verified open reports it.
+  std::string describe(const DamagedRow& row) const;
 
   /// Byte offset / length of column `c` (0 keys, 1 ids, 2 points,
   /// 3 directory) within the mapped file, as recorded in the header.

@@ -244,6 +244,27 @@ TEST(RangeCover, OutOfUniverseBoxThrowsTypedError) {
   EXPECT_THROW(engine.cover(Box(Point{0, 20}, Point{1, 21})), Error);
   // A valid box still answers after the failures (engine state intact).
   EXPECT_GE(engine.cover(Box(Point{0, 0}, Point{3, 3})).size(), 1u);
+
+  // Every public cover and run-count path refuses a box that leaves the
+  // universe, for every family — including curves without subtree structure,
+  // whose cover falls back to enumeration.
+  for (const std::string& family : descriptor_family_names()) {
+    CurveDescriptor descriptor;
+    descriptor.family = family;
+    descriptor.side = family == "peano" ? 9 : 16;
+    const CurvePtr c = make_curve(descriptor);
+    const Box outside(Point{14, 14}, Point{17, 17});
+    EXPECT_THROW((void)count_key_runs(*c, outside), RangeArgumentError)
+        << family;
+    EXPECT_THROW((void)count_key_runs_enumeration(*c, outside),
+                 RangeArgumentError)
+        << family;
+    EXPECT_THROW((void)cover_by_enumeration(*c, outside), RangeArgumentError)
+        << family;
+    EXPECT_THROW((void)cover_by_enumeration(*c, Box(Point{1}, Point{2})),
+                 RangeArgumentError)
+        << family;
+  }
 }
 
 }  // namespace

@@ -4,14 +4,17 @@
 // rejected with the old generation untouched; and shard-isolated degraded
 // mode routes queries around dead shards with typed partial results — for
 // every curve family, never reading a dead row or the file's directory —
-// until a repaired reload resurrects them.
+// until a repaired reload resurrects them; strict and degraded opens agree on
+// every single-bit corruption of a column.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -372,13 +375,13 @@ TEST(Generation, DegradedServingReadsNothingDead) {
   // straddle its 32 small shards, so kNN leaf scans that reach a dead
   // shard's rows must step over them.
   struct Config {
-    std::string family;
+    const char* family;
     coord_t side;
     int shard_bits;
   };
   for (const Config& config :
        {Config{"hilbert", 64, 2}, Config{"peano", 81, 5}}) {
-    const std::string& family = config.family;
+    const std::string family = config.family;
     const int shard_bits = config.shard_bits;
     CurveDescriptor descriptor;
     descriptor.family = family;
@@ -520,6 +523,110 @@ TEST(Generation, DegradedServingReadsNothingDead) {
       EXPECT_GT(all_live, 0) << where;
     }
 
+  }
+}
+
+TEST(Generation, StrictAndDegradedOpensAgreeOnEveryColumnBitFlip) {
+  // Both opens read the store's one verification scan, so they agree on
+  // every single-bit corruption: a strict open succeeds exactly when a
+  // degraded open succeeds with no dead shard.  Every bit of every column is
+  // flipped twice: raw (the column checksum trips) and with that column's
+  // and the header's checksums recomputed (only the row checks can see it).
+  // The ids column has no invariant a row check could test, so a flip there
+  // with fixed checksums must pass both opens.
+  CurveDescriptor descriptor;
+  descriptor.family = "hilbert";
+  descriptor.dim = 2;
+  descriptor.side = 64;
+  const CurvePtr curve = make_curve(descriptor);
+  Xoshiro256 rng(49);
+  std::vector<Point> points;
+  for (int i = 0; i < 60; ++i) {
+    points.push_back(random_cell(curve->universe(), rng));
+  }
+  IndexBuildOptions build;
+  build.block_rows = 16;
+  const PointIndex index = PointIndex::build(*curve, points, build);
+  const std::string path = temp_path("bit_flip_agreement");
+  write_index_file(path, index, descriptor);
+  std::vector<char> pristine;
+  {
+    std::ifstream in(path, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::uint64_t offset[4] = {};
+  std::uint64_t bytes[4] = {};
+  {
+    MappedIndexOptions lazy;
+    lazy.verify = false;
+    const MappedIndex mapped = MappedIndex::open(path, lazy);
+    for (int c = 0; c < 4; ++c) {
+      offset[c] = mapped.column_offset(c);
+      bytes[c] = mapped.column_bytes(c);
+    }
+  }
+  // Byte-level header layout (v1): the column table's checksum words and
+  // the header checksum, which covers the header with itself zeroed.
+  constexpr std::size_t kColumnChecksum = 80 + 16;
+  constexpr std::size_t kColumnEntryBytes = 24;
+  constexpr std::size_t kHeaderChecksum = 176;
+  constexpr std::size_t kHeaderBytes = 184;
+  constexpr int kShardBits = 3;
+
+  // Patches the file in place: the header and the byte at `at`, from `from`.
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good());
+  const auto patch = [&](const std::vector<char>& from, std::uint64_t at) {
+    file.seekp(0);
+    file.write(from.data(), kHeaderBytes);
+    file.seekp(static_cast<std::streamoff>(at));
+    file.write(from.data() + at, 1);
+    file.flush();
+    ASSERT_TRUE(file.good());
+  };
+  std::vector<char> flipped = pristine;
+  for (int c = 0; c < 4; ++c) {
+    for (std::uint64_t bit = 0; bit < bytes[c] * 8; ++bit) {
+      for (const bool fix : {false, true}) {
+        const std::uint64_t at = offset[c] + bit / 8;
+        flipped[at] ^= static_cast<char>(1u << (bit % 8));
+        if (fix) {
+          const std::uint64_t digest =
+              fnv1a64(flipped.data() + offset[c], bytes[c]);
+          std::memcpy(flipped.data() + kColumnChecksum +
+                          static_cast<std::size_t>(c) * kColumnEntryBytes,
+                      &digest, sizeof(digest));
+          std::memset(flipped.data() + kHeaderChecksum, 0, sizeof(digest));
+          const std::uint64_t header = fnv1a64(flipped.data(), kHeaderBytes);
+          std::memcpy(flipped.data() + kHeaderChecksum, &header,
+                      sizeof(header));
+        }
+        patch(flipped, at);
+        const std::string where = "column " + std::to_string(c) + " bit " +
+                                  std::to_string(bit) +
+                                  (fix ? " (checksums fixed)" : " (raw)");
+        bool strict_ok = true;
+        try {
+          (void)IndexGeneration::open(path, kShardBits, 0, false);
+        } catch (const StoreError&) {
+          strict_ok = false;
+        }
+        bool degraded_ok = false;
+        std::size_t dead = 0;
+        try {
+          dead = IndexGeneration::open(path, kShardBits, 0, true)
+                     ->dead_shards()
+                     .size();
+          degraded_ok = true;
+        } catch (const StoreError&) {
+        }
+        EXPECT_EQ(strict_ok, degraded_ok && dead == 0) << where;
+        EXPECT_TRUE(strict_ok || !degraded_ok || dead > 0) << where;
+        EXPECT_TRUE(c != 1 || !fix || strict_ok) << where;
+        flipped = pristine;
+        patch(flipped, at);
+      }
+    }
   }
 }
 

@@ -153,7 +153,7 @@ TEST(StoreHardening, VerifyColumnChecksumsLocalizesCorruption) {
   std::uint64_t points_offset = 0;
   {
     const MappedIndex clean = MappedIndex::open(path, lazy);
-    EXPECT_EQ(clean.verify_column_checksums(), 0u);
+    EXPECT_EQ(clean.scan().checksum_mask, 0u);
     points_offset = clean.column_offset(2);
   }
   // Stomp one byte in the points column; only bit 2 may trip.
@@ -169,7 +169,7 @@ TEST(StoreHardening, VerifyColumnChecksumsLocalizesCorruption) {
     ASSERT_TRUE(file.good());
   }
   const MappedIndex tampered = MappedIndex::open(path, lazy);
-  EXPECT_EQ(tampered.verify_column_checksums(), 1u << 2);
+  EXPECT_EQ(tampered.scan().checksum_mask, 1u << 2);
 }
 
 TEST(StoreHardening, WriterKillAtEverySyscallLeavesPathOpenable) {
