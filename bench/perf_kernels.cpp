@@ -27,7 +27,6 @@
 
 #include "bench_common.h"
 #include "sfc/curves/curve_factory.h"
-#include "sfc/curves/generic_descent.h"
 #include "sfc/curves/peano_curve.h"
 #include "sfc/curves/zcurve.h"
 #include "sfc/grid/box.h"
@@ -38,10 +37,15 @@
 #include "sfc/rng/sampling.h"
 #include "sfc/rng/xoshiro256.h"
 #include "sfc/sort/radix_sort.h"
+#include "sfc_oracles/generic_descent.h"
+#include "sfc_oracles/neighbor_stats_reference.h"
 
 namespace {
 
 using namespace sfc;
+using oracles::accumulate_lambda_reference;
+using oracles::accumulate_neighbor_stats_reference;
+using oracles::GenericDescentCurve;
 
 // ---- Λ / neighbor-stats slab pass --------------------------------------
 

@@ -1,13 +1,12 @@
 // Microbenchmarks: the slab-streamed neighbor-metrics engine (sfc/metrics)
-// against the seed scalar-fallback path it replaces, plus thread scaling,
-// key-table build, and the slab edge-cut path.
+// against the scalar per-cell sweep it replaced, plus thread scaling and the
+// slab edge-cut path.
 //
 // CI gate (tools/check_bench_speedup.py): the slab engine must be >= 3x the
-// scalar fallback on the 1M-cell Hilbert universe.  The scalar runs pin
-// max_cache_cells below the universe size, which is exactly the seed
-// behavior on universes above the cache ceiling: every neighbor key becomes
-// a fresh virtual index_of call, 2d+1 encodes per cell.  The slab engine
-// batch-encodes each cell once into O(slab) buffers instead.
+// scalar fallback on the 1M-cell Hilbert universe.  The scalar fallback is
+// the sweep in sfc_oracles: every neighbor key is a fresh virtual index_of
+// call, 2d+1 encodes per cell.  The slab engine batch-encodes each cell once
+// into O(slab) buffers instead.
 //
 // SFC_SCALE=large (the nightly job) additionally runs the 64M+-cell
 // configurations (k = 13, 8192^2 cells).
@@ -18,8 +17,8 @@
 #include "sfc/core/nn_stretch.h"
 #include "sfc/core/stretch_distribution.h"
 #include "sfc/curves/curve_factory.h"
-#include "sfc/curves/key_cache.h"
 #include "sfc/parallel/thread_pool.h"
+#include "sfc_oracles/scalar_nn_stretch.h"
 
 namespace {
 
@@ -37,14 +36,8 @@ void ScaleArgs(benchmark::internal::Benchmark* b) {
 void BM_NNStretchScalarFallback(benchmark::State& state, CurveFamily family) {
   const Universe u = Universe::pow2(2, static_cast<int>(state.range(0)));
   const CurvePtr curve = make_curve(family, u);
-  NNStretchOptions options;
-  options.engine = NNStretchEngine::kScalar;
-  // Seed behavior above the key-cache ceiling: the universe (2^20+ cells)
-  // exceeds max_cache_cells, so no table is built and every neighbor key is
-  // re-encoded through the scalar virtuals.
-  options.max_cache_cells = index_t{1} << 18;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_nn_stretch(*curve, options));
+    benchmark::DoNotOptimize(oracles::scalar_nn_stretch(*curve));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(u.cell_count()));
@@ -53,9 +46,8 @@ void BM_NNStretchScalarFallback(benchmark::State& state, CurveFamily family) {
 void BM_NNStretchSlabEngine(benchmark::State& state, CurveFamily family) {
   const Universe u = Universe::pow2(2, static_cast<int>(state.range(0)));
   const CurvePtr curve = make_curve(family, u);
-  const NNStretchOptions options;  // slab engine is the default
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_nn_stretch(*curve, options));
+    benchmark::DoNotOptimize(compute_nn_stretch(*curve));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(u.cell_count()));
@@ -69,17 +61,6 @@ void BM_NNStretchThreadScaling(benchmark::State& state) {
   options.pool = &pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(compute_nn_stretch(*z, options));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(u.cell_count()));
-}
-
-void BM_KeyTableBuild(benchmark::State& state) {
-  const Universe u = Universe::pow2(2, static_cast<int>(state.range(0)));
-  const CurvePtr z = make_curve(CurveFamily::kZ, u);
-  for (auto _ : state) {
-    KeyCache cache(*z, ThreadPool::shared());
-    benchmark::DoNotOptimize(cache.key_of_id(0));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(u.cell_count()));
@@ -122,7 +103,6 @@ BENCHMARK_CAPTURE(BM_NNStretchSlabEngine, z, CurveFamily::kZ)
     ->Arg(10)
     ->UseRealTime();
 BENCHMARK(BM_NNStretchThreadScaling)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-BENCHMARK(BM_KeyTableBuild)->Arg(7)->Arg(9)->UseRealTime();
 BENCHMARK(BM_PartitionEdgeCutSlab)->Arg(10)->UseRealTime();
 BENCHMARK(BM_StretchDistributionSlab)->Arg(9)->UseRealTime();
 

@@ -21,7 +21,7 @@
 
 #include "sfc/curves/space_filling_curve.h"
 
-namespace sfc {
+namespace sfc::oracles {
 
 class GenericDescentCurve final : public SpaceFillingCurve {
  public:
@@ -52,4 +52,4 @@ class GenericDescentCurve final : public SpaceFillingCurve {
   const SpaceFillingCurve& inner_;
 };
 
-}  // namespace sfc
+}  // namespace sfc::oracles

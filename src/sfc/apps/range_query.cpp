@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "sfc/common/int128.h"
 #include "sfc/common/math.h"
@@ -11,6 +12,19 @@
 #include "sfc/rng/splitmix64.h"
 
 namespace sfc {
+
+namespace {
+
+// random_box draws origins in [0, side - extent], so the extent must be a
+// valid box side; reject it before any worker starts.
+void check_extent(const Universe& u, coord_t extent) {
+  if (extent < 1 || extent > u.side()) {
+    throw RangeArgumentError("box extent " + std::to_string(extent) +
+                             " outside [1, " + std::to_string(u.side()) + "]");
+  }
+}
+
+}  // namespace
 
 index_t count_key_runs_enumeration(const SpaceFillingCurve& curve,
                                    const Box& box) {
@@ -31,6 +45,7 @@ ClusteringStats random_box_clustering(const SpaceFillingCurve& curve,
                                       std::uint64_t seed,
                                       const ClusteringOptions& options) {
   const Universe& u = curve.universe();
+  check_extent(u, extent);
   // Exact integer moments per deterministic chunk: integer addition is
   // associative, so combining partials in chunk order gives bit-identical
   // statistics for any thread count (and any scheduling).
@@ -89,6 +104,7 @@ ScanEfficiencyStats random_box_scan_efficiency(const PointIndex& index,
                                                std::uint64_t seed,
                                                const ClusteringOptions& options) {
   const Universe& u = index.curve().universe();
+  check_extent(u, extent);
   struct Partial {
     u128 returned = 0;
     u128 scanned = 0;

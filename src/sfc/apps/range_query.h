@@ -66,7 +66,8 @@ struct ClusteringOptions {
 };
 
 /// Average clustering number over `samples` uniformly placed cubic boxes of
-/// the given extent.
+/// the given extent.  Throws RangeArgumentError when the extent lies outside
+/// [1, side].
 ClusteringStats random_box_clustering(const SpaceFillingCurve& curve,
                                       coord_t extent, std::uint64_t samples,
                                       std::uint64_t seed,
@@ -89,7 +90,8 @@ struct ScanEfficiencyStats {
 
 /// Runs `samples` uniformly placed extent^d box queries against the index
 /// (per-sample RNG streams + deterministic reduction, like
-/// random_box_clustering: bit-identical for any thread count/grain).
+/// random_box_clustering: bit-identical for any thread count/grain).  Throws
+/// RangeArgumentError when the extent lies outside [1, side].
 ScanEfficiencyStats random_box_scan_efficiency(
     const PointIndex& index, coord_t extent, std::uint64_t samples,
     std::uint64_t seed, const ClusteringOptions& options = {});

@@ -1,10 +1,8 @@
 #include "sfc/core/nn_stretch.h"
 
 #include <limits>
-#include <memory>
 #include <vector>
 
-#include "sfc/curves/key_cache.h"
 #include "sfc/metrics/neighbor_stats.h"
 #include "sfc/metrics/slab_walker.h"
 #include "sfc/parallel/parallel_for.h"
@@ -15,8 +13,7 @@ namespace {
 
 // Per-chunk partial sums.  Chunk boundaries depend only on n and the grain,
 // and partials are combined in chunk order, so the floating-point results are
-// deterministic for any thread count — and identical for both engines, which
-// share this chunk grid.
+// deterministic for any thread count.
 struct Partial {
   long double avg_sum = 0.0L;  // Σ_α δavg(α)
   long double max_sum = 0.0L;  // Σ_α δmax(α)
@@ -26,118 +23,15 @@ struct Partial {
   double max_cell = -std::numeric_limits<double>::infinity();
 };
 
-// Key lookup abstraction for the scalar engine: cached table or on-the-fly
-// encode.
-class KeyFn {
- public:
-  KeyFn(const SpaceFillingCurve& curve, const NNStretchOptions& options,
-        ThreadPool& pool)
-      : curve_(curve) {
-    if (options.use_key_cache &&
-        curve.universe().cell_count() <= options.max_cache_cells) {
-      cache_ = std::make_unique<KeyCache>(curve, pool);
-    }
-  }
-
-  index_t operator()(const Point& cell, index_t row_major_id) const {
-    return cache_ ? cache_->key_of_id(row_major_id) : curve_.index_of(cell);
-  }
-
- private:
-  const SpaceFillingCurve& curve_;
-  std::unique_ptr<KeyCache> cache_;
-};
-
-// Scalar reference sweep: one pass over all cells, 2d+1 key lookups each.
-void scalar_sweep(const SpaceFillingCurve& curve,
-                  const NNStretchOptions& options, ThreadPool& pool,
-                  std::vector<Partial>& partials) {
-  const Universe& u = curve.universe();
-  const KeyFn key(curve, options, pool);
-  const index_t n = u.cell_count();
-  const int d = u.dim();
-  const index_t side = u.side();
-
-  // Row-major strides: neighbor along dimension i is at id ± stride[i].
-  std::array<index_t, kMaxDim> stride{};
-  {
-    index_t s = 1;
-    for (int i = 0; i < d; ++i) {
-      stride[static_cast<std::size_t>(i)] = s;
-      s *= side;
-    }
-  }
-
-  parallel_for_chunks(pool, n, options.grain, [&](const ChunkRange& range) {
-    Partial& part = partials[range.chunk_index];
-    Point cell = u.from_row_major(range.begin);
-    for (index_t id = range.begin; id < range.end; ++id) {
-      const index_t cell_key = key(cell, id);
-
-      std::uint64_t dist_sum = 0;
-      index_t dist_max = 0;
-      index_t dist_min = std::numeric_limits<index_t>::max();
-      int degree = 0;
-
-      for (int i = 0; i < d; ++i) {
-        const auto si = stride[static_cast<std::size_t>(i)];
-        // Backward neighbor (x_i - 1).
-        if (cell[i] > 0) {
-          Point q = cell;
-          --q[i];
-          const index_t qk = key(q, id - si);
-          const index_t dist = cell_key > qk ? cell_key - qk : qk - cell_key;
-          dist_sum += dist;
-          if (dist > dist_max) dist_max = dist;
-          if (dist < dist_min) dist_min = dist;
-          ++degree;
-        }
-        // Forward neighbor (x_i + 1): also the unordered-pair representative
-        // for Λ_i (each NN pair counted exactly once, by its lower endpoint).
-        if (cell[i] + 1 < side) {
-          Point q = cell;
-          ++q[i];
-          const index_t qk = key(q, id + si);
-          const index_t dist = cell_key > qk ? cell_key - qk : qk - cell_key;
-          dist_sum += dist;
-          if (dist > dist_max) dist_max = dist;
-          if (dist < dist_min) dist_min = dist;
-          ++degree;
-          part.lambda[static_cast<std::size_t>(i)] += dist;
-        }
-      }
-
-      if (degree > 0) {
-        const double cell_avg =
-            static_cast<double>(dist_sum) / static_cast<double>(degree);
-        part.avg_sum += static_cast<long double>(cell_avg);
-        part.max_sum += static_cast<long double>(dist_max);
-        part.min_sum += static_cast<long double>(dist_min);
-        if (cell_avg < part.min_cell) part.min_cell = cell_avg;
-        if (cell_avg > part.max_cell) part.max_cell = cell_avg;
-      }
-
-      // Advance the cell coordinates in row-major order.
-      int i = 0;
-      while (i < d) {
-        if (++cell[i] < side) break;
-        cell[i] = 0;
-        ++i;
-      }
-    }
-  });
-}
-
 // Slab sweep: each slab is batch-encoded once (plus halos); neighbor
 // distances are strided buffer passes.  Per-cell results are folded into the
 // *reduction* chunk grid — slab bodies are whole multiples of the grain, so
 // every chunk belongs to exactly one slab and the floating-point partials
-// match the scalar sweep bit for bit.
-void slab_sweep(const SpaceFillingCurve& curve, const NNStretchOptions& options,
+// depend only on (n, grain).
+void slab_sweep(const SpaceFillingCurve& curve, std::uint64_t grain,
                 ThreadPool& pool, std::vector<Partial>& partials) {
   const Universe& u = curve.universe();
   const int d = u.dim();
-  const std::uint64_t grain = options.grain;
 
   for_each_key_slab(curve, pool, grain, [&](const KeySlab& slab) {
     SlabNeighborStats stats;
@@ -182,13 +76,9 @@ NNStretchResult compute_nn_stretch(const SpaceFillingCurve& curve,
   const index_t n = u.cell_count();
   const int d = u.dim();
 
-  const std::uint64_t chunks = chunk_count(n, options.grain);
-  std::vector<Partial> partials(chunks);
-  if (options.engine == NNStretchEngine::kSlab) {
-    slab_sweep(curve, options, pool, partials);
-  } else {
-    scalar_sweep(curve, options, pool, partials);
-  }
+  const std::uint64_t grain = effective_grain(options.grain);
+  std::vector<Partial> partials(chunk_count(n, grain));
+  slab_sweep(curve, grain, pool, partials);
 
   NNStretchResult result;
   result.n = n;

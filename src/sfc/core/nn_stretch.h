@@ -8,17 +8,18 @@
 //   Λ_i(π)    = Σ_{(α,β)∈G_i} ∆π(α,β)                 (§IV-B, unordered NN
 //               pairs differing in dimension i)
 //
-// The engine streams the universe in row-major key slabs (sfc/metrics):
+// One engine streams the universe in row-major key slabs (sfc/metrics):
 // each slab is batch-encoded once and every neighbor distance is a strided
 // buffer difference, so exact metrics run in O(slab) memory with one encode
 // per cell.  Λ_i accumulate as exact 128-bit integers; the per-cell averages
 // use deterministic chunked long-double sums whose chunk grid depends only
-// on (n, grain), so results are bit-identical across thread counts and
-// across both engines.
+// on (n, grain), so results are bit-identical across thread counts.  The
+// scalar per-cell sweep the tests and benches compare against lives in the
+// test- and bench-only sfc_oracles library (oracles/), not here.
 #pragma once
 
 #include <array>
-#include <optional>
+#include <cstdint>
 
 #include "sfc/common/int128.h"
 #include "sfc/common/types.h"
@@ -27,28 +28,10 @@
 
 namespace sfc {
 
-enum class NNStretchEngine {
-  /// Slab-streamed engine (sfc/metrics): each cell's key is batch-encoded
-  /// once into reusable slab buffers and every neighbor difference is a flat
-  /// strided pass.  O(slab) memory at any universe size.
-  kSlab,
-  /// Reference path: per-cell key lookups, through a full KeyCache when the
-  /// universe fits under max_cache_cells and scalar virtual index_of calls
-  /// (2d+1 encodes per cell) above it.  Kept for the perf_metrics_scaling
-  /// baseline and the engine-equivalence tests; results are bit-identical to
-  /// the slab engine.
-  kScalar,
-};
-
 struct NNStretchOptions {
   /// Pool to run on; nullptr means ThreadPool::shared().
   ThreadPool* pool = nullptr;
-  NNStretchEngine engine = NNStretchEngine::kSlab;
-  /// Scalar engine only: materialize a key table when n <= max_cache_cells
-  /// (8 bytes/cell).  The slab engine never builds an O(n) table.
-  bool use_key_cache = true;
-  index_t max_cache_cells = index_t{1} << 27;
-  /// Cells per deterministic reduction chunk.
+  /// Cells per deterministic reduction chunk (0 means 1).
   std::uint64_t grain = std::uint64_t{1} << 16;
 };
 
@@ -91,7 +74,7 @@ NNStretchResult compute_nn_stretch(const SpaceFillingCurve& curve,
 /// only, no per-cell arrays — so it is several times faster than a full
 /// compute_nn_stretch when only the paper's Λ metric is needed.  Exact
 /// integer sums: bit-identical to NNStretchResult::lambda for any pool size
-/// or grain.  `options.engine` and the key-cache fields are ignored.
+/// or grain.
 std::array<u128, kMaxDim> compute_lambda(const SpaceFillingCurve& curve,
                                          const NNStretchOptions& options = {});
 

@@ -8,29 +8,24 @@
 // instead of 2d key lookups per cell.  All accumulators are exact integers,
 // so pass order never perturbs results.
 //
-// Two implementations share the run/pass structure:
-//
-//  - accumulate_neighbor_stats: the production kernel.  Each run is tiled
-//    through a small L1-resident diff buffer: a pure |keys[j+s] - keys[j]|
-//    u64 diff pass, then per-statistic update loops over the buffer, then a
-//    split lo32/hi32 widening reduction that folds the tile into the u128
-//    Λ_i total.  Every phase is a branch-light single-type loop the
-//    auto-vectorizer handles; the u128 accumulation — the loop-carried
-//    dependency that kept the fused scalar loop from vectorizing — happens
-//    once per tile instead of once per neighbor.
-//  - accumulate_neighbor_stats_reference: the retained fused scalar loop
-//    (one pass, per-neighbor u128 Λ accumulation).  All sums are exact
-//    integers, so the two are bit-identical by construction; the test suite
-//    (tests/metrics/test_lambda_kernel.cpp) verifies it across every curve
-//    family, and bench/perf_kernels.cpp gates the speedup in CI.
+// Each run is tiled through a small L1-resident diff buffer: a pure
+// |keys[j+s] - keys[j]| u64 diff pass, then per-statistic update loops over
+// the buffer, then a split lo32/hi32 widening reduction that folds the tile
+// into the u128 Λ_i total.  Every phase is a branch-light single-type loop
+// the auto-vectorizer handles; the u128 accumulation — the loop-carried
+// dependency that keeps a fused scalar loop from vectorizing — happens once
+// per tile instead of once per neighbor.
 //
 // Workloads that need only Λ — the paper's headline metric — get a leaner
-// pair, accumulate_lambda / accumulate_lambda_reference: forward runs only,
-// no per-cell arrays.  The production version blocks over cell tiles with
-// the dimension loop inside, so each tile of keys is read from memory once
-// for all d directional passes, and runs the same diff-tile + widening
-// reduction phases (compiled with runtime-dispatched AVX2 clones).  The
-// reference keeps the seed idiom: one u128 add per neighbor pair.
+// kernel, accumulate_lambda: forward runs only, no per-cell arrays.  It
+// blocks over cell tiles with the dimension loop inside, so each tile of
+// keys is read from memory once for all d directional passes, and runs the
+// same diff-tile + widening reduction phases (compiled with runtime-
+// dispatched AVX2 clones).
+//
+// The fused scalar loops these kernels replaced (one u128 add per neighbor
+// pair) are the bit-identity oracles and CI bench baselines; they live in
+// the test- and bench-only sfc_oracles library (oracles/), not here.
 #pragma once
 
 #include <array>
@@ -66,23 +61,11 @@ struct SlabNeighborStats {
 void accumulate_neighbor_stats(const Universe& u, const KeySlab& slab,
                                SlabNeighborStats& stats);
 
-/// Retained reference implementation: the fused scalar loop with per-neighbor
-/// u128 Λ accumulation.  Bit-identical to accumulate_neighbor_stats; kept as
-/// the bit-identity oracle and the CI bench baseline.
-void accumulate_neighbor_stats_reference(const Universe& u, const KeySlab& slab,
-                                         SlabNeighborStats& stats);
-
 /// Λ-only pass: adds the slab's forward-pair distance sums Λ_i into
 /// `lambda[i]` for every dimension.  Cell-tiled two-phase kernel (diff tile,
 /// widening u128 reduction once per tile); bit-identical to the lambda field
 /// accumulate_neighbor_stats produces, at a fraction of the memory traffic.
 void accumulate_lambda(const Universe& u, const KeySlab& slab,
                        std::array<u128, kMaxDim>& lambda);
-
-/// Retained Λ reference: dimension-major scalar runs with one u128 add per
-/// forward neighbor pair (the seed's accumulation idiom).  Bit-identity
-/// oracle and the CI bench baseline for the Λ-pass gate.
-void accumulate_lambda_reference(const Universe& u, const KeySlab& slab,
-                                 std::array<u128, kMaxDim>& lambda);
 
 }  // namespace sfc

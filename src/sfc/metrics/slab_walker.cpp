@@ -49,6 +49,7 @@ index_t dim_stride(const Universe& u, int dim) {
 index_t slab_halo(const Universe& u) { return dim_stride(u, u.dim() - 1); }
 
 std::uint64_t slab_grain(const Universe& u, std::uint64_t reduction_grain) {
+  reduction_grain = effective_grain(reduction_grain);
   const std::uint64_t target = 8 * static_cast<std::uint64_t>(slab_halo(u));
   const std::uint64_t multiple =
       std::max<std::uint64_t>(1, (target + reduction_grain - 1) / reduction_grain);

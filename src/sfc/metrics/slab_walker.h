@@ -55,8 +55,8 @@ void encode_row_major_range(const SpaceFillingCurve& curve, index_t begin,
 
 /// Parallel full-universe key table: keys[id] = π(id) for every cell.
 /// `keys.size()` must equal the universe cell count.  This is the one shared
-/// "decode row-major chunk → index_of_batch" sweep behind KeyCache,
-/// evaluate_partition's fragment mode, and compute_all_pairs_exact.
+/// "decode row-major chunk → index_of_batch" sweep behind
+/// evaluate_partition's fragment mode and compute_all_pairs_exact.
 void build_key_table(const SpaceFillingCurve& curve, ThreadPool& pool,
                      std::span<index_t> keys,
                      std::uint64_t grain = kDefaultGrain);

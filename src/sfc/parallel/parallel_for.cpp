@@ -7,7 +7,7 @@ namespace sfc {
 void parallel_for_chunks(ThreadPool& pool, std::uint64_t count, std::uint64_t grain,
                          const std::function<void(const ChunkRange&)>& body) {
   if (count == 0) return;
-  if (grain == 0) grain = 1;
+  grain = effective_grain(grain);
   const std::uint64_t chunks = chunk_count(count, grain);
   pool.run_batch(chunks, [&](std::uint64_t chunk) {
     ChunkRange range;

@@ -26,8 +26,16 @@ struct ChunkRange {
   std::uint64_t chunk_index;
 };
 
+/// The grain a chunked loop actually uses: grain 0 means 1.  Every grain
+/// taken by this header, and every chunk or slab grid built on it, goes
+/// through here, so grain 0 and grain 1 give bit-identical results.
+constexpr std::uint64_t effective_grain(std::uint64_t grain) {
+  return grain == 0 ? 1 : grain;
+}
+
 /// Number of chunks the range [0, count) splits into with the given grain.
 constexpr std::uint64_t chunk_count(std::uint64_t count, std::uint64_t grain) {
+  grain = effective_grain(grain);
   return count == 0 ? 0 : (count + grain - 1) / grain;
 }
 

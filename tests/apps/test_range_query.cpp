@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sfc/curves/curve_factory.h"
 #include "sfc/curves/simple_curve.h"
+#include "sfc/ranges/range_cover.h"
 
 namespace sfc {
 namespace {
@@ -105,6 +108,22 @@ TEST(RangeQuery, RandomBoxClusteringStats) {
   EXPECT_GE(stats.mean_runs, 1.0);
   EXPECT_LE(stats.mean_runs, 16.0);
   EXPECT_LE(stats.max_runs, 16.0);
+}
+
+TEST(RangeQuery, ExtentOutsideTheUniverseThrowsTypedError) {
+  const CurvePtr z = make_curve(CurveFamily::kZ, Universe::pow2(2, 4));
+  const PointIndex index =
+      PointIndex::build(*z, std::vector<Point>{Point{1, 2}, Point{9, 3}});
+  for (const coord_t extent : {coord_t{0}, coord_t{17}, ~coord_t{0}}) {
+    EXPECT_THROW(random_box_clustering(*z, extent, 10, 1), RangeArgumentError)
+        << "extent " << extent;
+    EXPECT_THROW(random_box_scan_efficiency(index, extent, 10, 1),
+                 RangeArgumentError)
+        << "extent " << extent;
+  }
+  // Both ends of [1, side] are valid.
+  EXPECT_EQ(random_box_clustering(*z, 1, 10, 1).mean_runs, 1.0);
+  EXPECT_EQ(random_box_clustering(*z, 16, 10, 1).mean_runs, 1.0);
 }
 
 TEST(RangeQuery, ClusteringDeterministicInSeed) {

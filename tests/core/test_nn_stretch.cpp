@@ -84,24 +84,6 @@ TEST(NNStretch, Figure1WorkedValues) {
   EXPECT_DOUBLE_EQ(r2.average_maximum, 2.5);
 }
 
-TEST(NNStretch, CacheAndNoCachePathsAgree) {
-  // use_key_cache only matters on the scalar engine (the slab engine never
-  // builds a table), so pin the engine to cover the KeyCache branch.
-  const Universe u = Universe::pow2(2, 4);
-  const ZCurve z(u);
-  NNStretchOptions with_cache;
-  with_cache.engine = NNStretchEngine::kScalar;
-  with_cache.use_key_cache = true;
-  NNStretchOptions without_cache;
-  without_cache.engine = NNStretchEngine::kScalar;
-  without_cache.use_key_cache = false;
-  const NNStretchResult a = compute_nn_stretch(z, with_cache);
-  const NNStretchResult b = compute_nn_stretch(z, without_cache);
-  EXPECT_EQ(a.average_average, b.average_average);  // bit-identical
-  EXPECT_EQ(a.average_maximum, b.average_maximum);
-  EXPECT_TRUE(a.nn_distance_total == b.nn_distance_total);
-}
-
 TEST(NNStretch, DeterministicAcrossGrainAndThreads) {
   const Universe u = Universe::pow2(2, 5);
   const ZCurve z(u);

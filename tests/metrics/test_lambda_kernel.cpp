@@ -1,5 +1,5 @@
 // Bit-identity of the two-phase diff-then-reduce neighbor-stats kernel
-// against the retained fused scalar reference, over every factory family ×
+// against the fused scalar reference in sfc_oracles, over every factory family ×
 // pool sizes 1/2/8 × two slab grains.  Every accumulator is an exact
 // integer, so "bit-identical" means element-wise equal vectors and equal
 // u128 Λ_i — no tolerance anywhere.  A long-run case crosses the kernel's
@@ -16,9 +16,13 @@
 #include "sfc/curves/curve_factory.h"
 #include "sfc/metrics/slab_walker.h"
 #include "sfc/parallel/thread_pool.h"
+#include "sfc_oracles/neighbor_stats_reference.h"
 
 namespace sfc {
 namespace {
+
+using oracles::accumulate_lambda_reference;
+using oracles::accumulate_neighbor_stats_reference;
 
 // Runs both stats kernels and both Λ-only kernels on every slab of the
 // universe and requires exact equality of every field, with all four Λ

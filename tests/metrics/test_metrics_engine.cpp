@@ -1,21 +1,25 @@
-// End-to-end equivalence of the slab-streamed metrics engine with the seed
-// scalar reference path, straddling slab boundaries, the key-cache ceiling,
-// and thread counts.
+// End-to-end equivalence of the slab-streamed metrics engine with the scalar
+// per-cell sweep in sfc_oracles, straddling slab boundaries and thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 #include <vector>
 
+#include "sfc/apps/range_query.h"
 #include "sfc/core/nn_stretch.h"
 #include "sfc/core/stretch_distribution.h"
 #include "sfc/curves/curve_factory.h"
+#include "sfc/index/point_index.h"
 #include "sfc/parallel/thread_pool.h"
+#include "sfc_oracles/scalar_nn_stretch.h"
 
 namespace sfc {
 namespace {
 
-// Every floating-point field must be bit-identical between the engines, so
-// plain == is the right comparison.
+// Every floating-point field must be bit-identical between the engine and
+// the oracle, so plain == is the right comparison.
 void expect_identical(const NNStretchResult& a, const NNStretchResult& b,
                       const std::string& context) {
   EXPECT_EQ(a.average_average, b.average_average) << context;
@@ -31,15 +35,11 @@ void expect_identical(const NNStretchResult& a, const NNStretchResult& b,
   }
 }
 
-NNStretchResult run(const SpaceFillingCurve& curve, NNStretchEngine engine,
-                    std::uint64_t grain, ThreadPool* pool = nullptr,
-                    index_t max_cache_cells = index_t{1} << 27) {
+NNStretchOptions with(std::uint64_t grain, ThreadPool* pool = nullptr) {
   NNStretchOptions options;
-  options.engine = engine;
   options.grain = grain;
   options.pool = pool;
-  options.max_cache_cells = max_cache_cells;
-  return compute_nn_stretch(curve, options);
+  return options;
 }
 
 TEST(MetricsEngine, SlabMatchesScalarEveryFamily2D) {
@@ -49,8 +49,8 @@ TEST(MetricsEngine, SlabMatchesScalarEveryFamily2D) {
   for (CurveFamily family : all_curve_families()) {
     const CurvePtr curve = make_curve(family, u, 11);
     for (const std::uint64_t grain : {std::uint64_t{32}, std::uint64_t{1} << 16}) {
-      expect_identical(run(*curve, NNStretchEngine::kSlab, grain),
-                       run(*curve, NNStretchEngine::kScalar, grain),
+      expect_identical(compute_nn_stretch(*curve, with(grain)),
+                       oracles::scalar_nn_stretch(*curve, with(grain)),
                        family_name(family) + " grain " + std::to_string(grain));
     }
   }
@@ -62,22 +62,10 @@ TEST(MetricsEngine, SlabMatchesScalarEveryFamily3D) {
   const Universe u = Universe::pow2(3, 4);
   for (CurveFamily family : all_curve_families()) {
     const CurvePtr curve = make_curve(family, u, 7);
-    expect_identical(run(*curve, NNStretchEngine::kSlab, 256),
-                     run(*curve, NNStretchEngine::kScalar, 256),
+    expect_identical(compute_nn_stretch(*curve, with(256)),
+                     oracles::scalar_nn_stretch(*curve, with(256)),
                      family_name(family) + " 3d");
   }
-}
-
-TEST(MetricsEngine, SlabMatchesScalarAboveTheCacheCeiling) {
-  // max_cache_cells = 0 forces the scalar engine onto the seed fallback
-  // (2d+1 virtual encodes per cell) — the configuration the slab engine
-  // replaces on huge universes.
-  const Universe u = Universe::pow2(2, 5);
-  const CurvePtr h = make_curve(CurveFamily::kHilbert, u);
-  expect_identical(run(*h, NNStretchEngine::kSlab, 64),
-                   run(*h, NNStretchEngine::kScalar, 64, nullptr,
-                       /*max_cache_cells=*/0),
-                   "scalar fallback");
 }
 
 TEST(MetricsEngine, SlabDeterministicAcrossThreadCounts) {
@@ -86,9 +74,9 @@ TEST(MetricsEngine, SlabDeterministicAcrossThreadCounts) {
   ThreadPool one(1), two(2), eight(8);
   for (const Universe* u : {&u2, &u3}) {
     const CurvePtr z = make_curve(CurveFamily::kZ, *u);
-    const NNStretchResult a = run(*z, NNStretchEngine::kSlab, 64, &one);
-    const NNStretchResult b = run(*z, NNStretchEngine::kSlab, 64, &two);
-    const NNStretchResult c = run(*z, NNStretchEngine::kSlab, 64, &eight);
+    const NNStretchResult a = compute_nn_stretch(*z, with(64, &one));
+    const NNStretchResult b = compute_nn_stretch(*z, with(64, &two));
+    const NNStretchResult c = compute_nn_stretch(*z, with(64, &eight));
     expect_identical(a, b, "1 vs 2 threads");
     expect_identical(a, c, "1 vs 8 threads");
   }
@@ -134,9 +122,47 @@ TEST(MetricsEngine, StretchDistributionMatchesPerCellHelpers) {
   }
 }
 
-TEST(MetricsEngine, DefaultOptionsUseTheSlabEngine) {
-  const NNStretchOptions options;
-  EXPECT_EQ(options.engine, NNStretchEngine::kSlab);
+TEST(MetricsEngine, GrainZeroMatchesGrainOneAtEveryEntryPoint) {
+  // Grain 0 means grain 1 wherever a reduction grain is taken: the results
+  // must be bit-identical, and nothing may divide by zero.
+  ThreadPool pool(2);
+
+  const CurvePtr h = make_curve(CurveFamily::kHilbert, Universe::pow2(2, 4));
+  const NNStretchOptions zero = with(0, &pool);
+  const NNStretchOptions one = with(1, &pool);
+  expect_identical(compute_nn_stretch(*h, zero), compute_nn_stretch(*h, one),
+                   "compute_nn_stretch");
+  expect_identical(oracles::scalar_nn_stretch(*h, zero),
+                   oracles::scalar_nn_stretch(*h, one), "scalar_nn_stretch");
+  const auto lambda_zero = compute_lambda(*h, zero);
+  const auto lambda_one = compute_lambda(*h, one);
+  for (std::size_t i = 0; i < lambda_zero.size(); ++i) {
+    EXPECT_TRUE(lambda_zero[i] == lambda_one[i]) << "compute_lambda " << i;
+  }
+
+  const CurvePtr z = make_curve(CurveFamily::kZ, Universe::pow2(2, 6));
+  const ClusteringOptions cluster_zero{.pool = &pool, .grain = 0};
+  const ClusteringOptions cluster_one{.pool = &pool, .grain = 1};
+  const ClusteringStats c0 = random_box_clustering(*z, 4, 50, 9, cluster_zero);
+  const ClusteringStats c1 = random_box_clustering(*z, 4, 50, 9, cluster_one);
+  EXPECT_EQ(c0.mean_runs, c1.mean_runs);
+  EXPECT_EQ(c0.stderr_runs, c1.stderr_runs);
+  EXPECT_EQ(c0.max_runs, c1.max_runs);
+
+  std::vector<Point> points;
+  for (coord_t x = 0; x < 64; x += 3) {
+    for (coord_t y = 0; y < 64; y += 5) points.push_back(Point{x, y});
+  }
+  const PointIndex index = PointIndex::build(*z, points);
+  const ScanEfficiencyStats s0 =
+      random_box_scan_efficiency(index, 8, 50, 9, cluster_zero);
+  const ScanEfficiencyStats s1 =
+      random_box_scan_efficiency(index, 8, 50, 9, cluster_one);
+  EXPECT_EQ(s0.mean_rows_returned, s1.mean_rows_returned);
+  EXPECT_EQ(s0.mean_rows_scanned, s1.mean_rows_scanned);
+  EXPECT_EQ(s0.mean_runs, s1.mean_runs);
+  EXPECT_EQ(s0.mean_runs_touched, s1.mean_runs_touched);
+  EXPECT_EQ(s0.full_scan_ratio, s1.full_scan_ratio);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@ TEST(ChunkCount, Values) {
   EXPECT_EQ(chunk_count(10, 10), 1u);
   EXPECT_EQ(chunk_count(11, 10), 2u);
   EXPECT_EQ(chunk_count(100, 10), 10u);
+  EXPECT_EQ(chunk_count(7, 0), chunk_count(7, 1));  // grain 0 means 1
 }
 
 TEST(ParallelForChunks, CoversRangeWithoutOverlap) {

@@ -11,16 +11,18 @@
 
 #include "sfc/common/math.h"
 #include "sfc/curves/curve_factory.h"
-#include "sfc/curves/generic_descent.h"
 #include "sfc/curves/peano_curve.h"
 #include "sfc/curves/zcurve.h"
 #include "sfc/grid/box.h"
 #include "sfc/parallel/thread_pool.h"
 #include "sfc/ranges/range_cover.h"
 #include "sfc/rng/xoshiro256.h"
+#include "sfc_oracles/generic_descent.h"
 
 namespace sfc {
 namespace {
+
+using oracles::GenericDescentCurve;
 
 Box random_box(const Universe& u, Xoshiro256& rng) {
   Point lo = Point::zero(u.dim());

@@ -479,7 +479,7 @@ int cmd_clustering(const Command& cmd, const cli::Args& args) {
   const auto bits = args.get_int("bits", 6);
   const auto extent = args.get_int("extent", 4);
   const auto samples = args.get_int("samples", 200);
-  if (!dim || !bits || !extent || !samples) {
+  if (!dim || !bits || !extent || !samples || *extent <= 0 || *samples <= 0) {
     return usage_command(cmd, "bad numeric flag");
   }
   std::string error;
@@ -487,6 +487,9 @@ int cmd_clustering(const Command& cmd, const cli::Args& args) {
       build_curve(curve_name, static_cast<int>(*dim), static_cast<int>(*bits),
                   1, &error);
   if (!curve) return usage_command(cmd, error);
+  if (static_cast<std::uint64_t>(*extent) > curve->universe().side()) {
+    return usage_command(cmd, "--extent must be <= the universe side");
+  }
   const ClusteringStats stats = random_box_clustering(
       *curve, static_cast<coord_t>(*extent),
       static_cast<std::uint64_t>(*samples), 1234);
